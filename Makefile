@@ -33,6 +33,9 @@
 #                router-restart case; logs kept in CHAOS_WORK
 #   make ci-sanity  fail if any CI workflow invokes a make target that
 #                does not exist in this Makefile
+#   make bench-smoke  the end-to-end benchmark's own checks: vet and test
+#                the benchmark module, then run each workload for 2 s and
+#                fail unless every op is correct (benchmark/NOTES.md)
 #   make sampling-validate  the sampling differential-validation suite
 #                under -race (CI coverage vs full-detailed truth,
 #                warm-up efficacy, observation-only warm-up marks,
@@ -73,7 +76,7 @@ STATICCHECK ?= staticcheck
 .PHONY: tier1 check build vet test race race-full lint fmt-check \
 	bench bench-core bench-emu bench-figures bench-gate bench-gate-full \
 	bench-gate-update fuzz serve-smoke cluster-smoke cluster-chaos \
-	ci-sanity sampling-validate sampling-long
+	ci-sanity sampling-validate sampling-long bench-smoke
 
 # bench-core profiling knob: when set, the core suite also writes a CPU
 # profile there (e.g. `make bench-core BENCH_CORE_CPUPROFILE=core.pprof`;
@@ -212,3 +215,21 @@ cluster-chaos:
 # workflows must exist here.
 ci-sanity:
 	./scripts/ci_sanity.sh
+
+# The end-to-end benchmark (benchmark/, BENCHMARK.json) checked the way it
+# is run: vet and unit tests of its module, then a 2-second untraced run
+# of each workload, whose last output line must report every op correct
+# and none failed. The reference digests make any moved result byte a
+# failed op.
+BENCH_WORKLOADS = eval-matrix sampled-span serve-routed
+
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	@for w in $(BENCH_WORKLOADS); do \
+		last="$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1)"; \
+		echo "bench-smoke $$w: $$last"; \
+		case "$$last" in \
+		*'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "bench-smoke: $$w reported failed ops" >&2; exit 1 ;; \
+		esac; \
+	done

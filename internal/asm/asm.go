@@ -50,10 +50,24 @@ type Program struct {
 	Labels map[string]uint64
 }
 
-// Segment is a contiguous run of initialized memory.
+// Segment is a contiguous run of initialized memory at Addr. A literal
+// segment holds its bytes in Data. A generated segment has no Data: its
+// Size bytes come from Fill on demand, so a loader can materialise only
+// the pages a run touches (DESIGN.md §8.11). The assembler emits literal
+// segments only.
 type Segment struct {
 	Addr uint64
 	Data []byte
+
+	// Size is the length of a generated segment in bytes.
+	Size uint64
+	// Fill writes bytes [off, off+len(dst)) of a generated segment into
+	// dst, for any range within Size. It must be pure and deterministic
+	// (a range's bytes never depend on which ranges were filled before)
+	// and safe for concurrent use: copy-on-write clones on different
+	// goroutines fill pages of one image independently. Nil for a
+	// literal segment.
+	Fill func(off uint64, dst []byte)
 }
 
 // DefaultOrg is the location counter before any .org directive.

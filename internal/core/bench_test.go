@@ -6,9 +6,34 @@ import (
 	"testing"
 
 	"fxa/internal/config"
+	"fxa/internal/emu"
 	"fxa/internal/engine"
 	"fxa/internal/workload"
 )
+
+// benchTrace builds the named proxy and returns a stream over a freshly
+// loaded machine capped at insts records, as workload.NewTrace does. It
+// runs outside the timer, and it materialises every page of the program's
+// generated segments with one read per page, so the timed run measures
+// the timing model, not first-touch page generation.
+func benchTrace(b *testing.B, name string, insts uint64) *emu.Stream {
+	b.Helper()
+	w, ok := workload.ByName(name)
+	if !ok {
+		b.Fatalf("unknown workload %q", name)
+	}
+	prog, err := w.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := emu.New(prog)
+	for _, s := range prog.Segments {
+		for off := uint64(0); off < s.Size; off += 4096 {
+			m.Mem.Load8(s.Addr + off)
+		}
+	}
+	return emu.NewStream(m, insts)
+}
 
 // benchRun simulates insts dynamic instructions of workload w on model m,
 // reporting ns and allocations per simulated instruction. This is the
@@ -22,20 +47,12 @@ import (
 // should stay flat when `insts` grows.
 func benchRun(b *testing.B, m config.Model, name string, insts uint64) {
 	b.Helper()
-	w, ok := workload.ByName(name)
-	if !ok {
-		b.Fatalf("unknown workload %q", name)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var committed uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tr, err := w.NewTrace(insts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		co, err := New(m, tr)
+		co, err := New(m, benchTrace(b, name, insts))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,20 +99,12 @@ func BenchmarkCoreFlushHeavy(b *testing.B) {
 // and construction excluded, ns/inst reported.
 func benchEngineRun(b *testing.B, m config.Model, name string, insts uint64) {
 	b.Helper()
-	w, ok := workload.ByName(name)
-	if !ok {
-		b.Fatalf("unknown workload %q", name)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var committed uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tr, err := w.NewTrace(insts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e, err := engine.New(m, tr)
+		e, err := engine.New(m, benchTrace(b, name, insts))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -79,7 +79,7 @@ type Core struct {
 	blockStart int64        // cycle fetch became blocked (for wrong-path accounting)
 
 	// Front-end delay line: fetched uops waiting to reach rename.
-	feQueue uopRing
+	feQueue pipeline.Ring[*uop]
 
 	// Rename state.
 	rat      [2][isa.NumIntRegs]*uop // last in-flight producer per arch reg
@@ -90,11 +90,11 @@ type Core struct {
 	ixu [][]*uop
 
 	// OXU.
-	iq  []*uop  // capacity pinned to IQEntries
-	rob uopRing // program order
+	iq  []*uop              // capacity pinned to IQEntries
+	rob pipeline.Ring[*uop] // program order
 
-	lq uopRing
-	sq uopRing
+	lq pipeline.Ring[*uop]
+	sq pipeline.Ring[*uop]
 
 	// pool is the uop free list; uopLive counts instances currently out
 	// of it (see pool.go).
@@ -150,10 +150,10 @@ func New(cfg config.Model, trace Trace) (*Core, error) {
 	}
 	// Capacity-pinned in-flight structures: sized once here so the hot
 	// loop never grows them (DESIGN.md §8.2).
-	co.rob = newUopRing(cfg.ROBEntries)
-	co.lq = newUopRing(cfg.LQEntries)
-	co.sq = newUopRing(cfg.SQEntries)
-	co.feQueue = newUopRing(co.feCap())
+	co.rob = pipeline.NewRing[*uop](cfg.ROBEntries)
+	co.lq = pipeline.NewRing[*uop](cfg.LQEntries)
+	co.sq = pipeline.NewRing[*uop](cfg.SQEntries)
+	co.feQueue = pipeline.NewRing[*uop](co.feCap())
 	co.iq = make([]*uop, 0, cfg.IQEntries)
 	// The out-of-order front end accesses the BTB in parallel with
 	// direction prediction, so the BTB trains even on a direction
@@ -290,6 +290,19 @@ func (co *Core) ixuEmpty() bool {
 	return true
 }
 
+// dropFromSeq compacts out of r every uop with rec.Seq >= seq, keeping
+// program order: the LSQ half of a flush.
+func dropFromSeq(r *pipeline.Ring[*uop], seq uint64) {
+	w := 0
+	for i := 0; i < r.Len(); i++ {
+		if u := r.At(i); u.rec.Seq < seq {
+			r.Set(w, u)
+			w++
+		}
+	}
+	r.Truncate(w)
+}
+
 // flushFrom squashes every in-flight uop at or younger than seq (program
 // order) and queues their records for re-fetch. Used for memory-order
 // violation recovery.
@@ -356,7 +369,7 @@ func (co *Core) flushFrom(seq uint64, when int64) {
 			co.dropRefs(u)
 			co.unref(u)
 		} else {
-			co.feQueue.set(wFE, u)
+			co.feQueue.Set(wFE, u)
 			wFE++
 		}
 	}
@@ -376,8 +389,8 @@ func (co *Core) flushFrom(seq uint64, when int64) {
 	co.iq = keepIQ
 
 	// LSQ.
-	co.lq.DropFromSeq(seq)
-	co.sq.DropFromSeq(seq)
+	dropFromSeq(&co.lq, seq)
+	dropFromSeq(&co.sq, seq)
 
 	// Rebuild the RAT from the surviving window. An eliminated move maps
 	// its destination back to the aliased producer, not to itself.

@@ -91,7 +91,9 @@ type Core struct {
 	// wd is the shared deadlock watchdog (progress = an issue).
 	wd engine.Watchdog
 
-	queue []*iuop
+	// queue is the fetch queue, sized capQ() at construction: fetch
+	// checks room first, so it never grows.
+	queue pipeline.Ring[iuop]
 
 	regReady [2][isa.NumIntRegs]int64
 	fu       pipeline.FUPools
@@ -131,6 +133,7 @@ func New(cfg config.Model, trace engine.Trace) (*Core, error) {
 		bp:  bpred.New(cfg.Bpred),
 		fu:  pipeline.NewFUPools(cfg.IntFUs, cfg.MemFUs, cfg.FPFUs),
 	}
+	co.queue = pipeline.NewRing[iuop](co.capQ())
 	// CondBTBAlways=false: like the LITTLE core, the in-order front end
 	// short-circuits the BTB lookup once the direction check fails.
 	co.fe.Init(co.bp, co.mem, trace, false)
@@ -165,11 +168,11 @@ func (co *Core) Step(nCycles int64) (bool, error) {
 		co.active = false
 		co.issue()
 		co.fetch()
-		if co.fe.Drained() && len(co.queue) == 0 {
+		if co.fe.Drained() && co.queue.Len() == 0 {
 			return true, nil
 		}
 		if co.wd.Stuck(co.cycle) {
-			return false, co.wd.Fail(co.cfg.Name, co.cycle, fmt.Sprintf("queue=%d", len(co.queue)))
+			return false, co.wd.Fail(co.cfg.Name, co.cycle, fmt.Sprintf("queue=%d", co.queue.Len()))
 		}
 		if co.skip.Enabled && !co.active {
 			if j := co.skip.Jump(co.cycle, nCycles-1-n, &co.wd); j > 0 {
@@ -193,12 +196,12 @@ func (co *Core) Result() engine.Result {
 }
 
 // Occupancy reports the fetch-queue depth (engine.OccupancyReporter).
-func (co *Core) Occupancy() (rob, iq int) { return len(co.queue), 0 }
+func (co *Core) Occupancy() (rob, iq int) { return co.queue.Len(), 0 }
 
 // Abort drops the in-flight window after an interrupted run
 // (engine.Aborter).
 func (co *Core) Abort() {
-	co.queue = co.queue[:0]
+	co.queue.Truncate(0)
 	co.fe.DropReplay()
 	co.blocked = false
 }
@@ -207,16 +210,14 @@ func (co *Core) Abort() {
 // construction and the blocked-bit bookkeeping through the admit
 // callback.
 func (co *Core) fetch() {
-	room := co.capQ() - len(co.queue)
+	room := co.capQ() - co.queue.Len()
 	fetched := co.fe.FetchCycle(co.cycle, co.blocked, co.cfg.FetchWidth, room, &co.c,
 		func(rec emu.Record, st *decodecache.Static, mispred bool) {
-			u := &iuop{rec: rec, st: *st, fetchCycle: co.cycle}
+			co.queue.PushBack(iuop{rec: rec, st: *st, fetchCycle: co.cycle, mispredict: mispred})
 			if mispred {
-				u.mispredict = true
 				co.blocked = true
 				co.blockStart = co.cycle
 			}
-			co.queue = append(co.queue, u)
 		})
 	if fetched {
 		co.active = true
@@ -234,8 +235,8 @@ func (co *Core) fetch() {
 func (co *Core) issue() {
 	issued := 0
 	firstFP := false
-	for issued < co.cfg.IssueWidth && len(co.queue) > 0 {
-		u := co.queue[0]
+	for issued < co.cfg.IssueWidth && co.queue.Len() > 0 {
+		u := co.queue.Front()
 		if co.cycle < u.fetchCycle+int64(co.cfg.FrontendDepth)+issueDepth {
 			break
 		}
@@ -274,8 +275,8 @@ func (co *Core) issue() {
 			break
 		}
 
-		// Issue.
-		co.queue = co.queue[1:]
+		// Issue. u stays in the queue until the end of this iteration:
+		// popping zeroes its slot.
 		if issued == 0 {
 			firstFP = fpDomain(cls)
 		}
@@ -325,6 +326,7 @@ func (co *Core) issue() {
 
 		co.c.Committed++
 		co.c.CommittedByClass[cls]++
+		co.queue.PopFront()
 	}
 	switch issued {
 	case 1:
@@ -341,10 +343,10 @@ func (co *Core) issue() {
 // which the pairing rule never constrains — gated by exactly these
 // conditions.
 func (co *Core) headEvents(ev func(int64)) {
-	if len(co.queue) == 0 {
+	if co.queue.Len() == 0 {
 		return
 	}
-	u := co.queue[0]
+	u := co.queue.Front()
 	c := u.fetchCycle + int64(co.cfg.FrontendDepth) + issueDepth
 	for _, r := range u.st.Srcs[:u.st.NSrc] {
 		if rc := co.regReady[r.File][r.Index]; rc > c {
@@ -365,5 +367,5 @@ func (co *Core) headEvents(ev func(int64)) {
 // fetchEvents: the shared front end's candidate, gated on queue room and
 // the unresolved-mispredict bit (resolution is an issue event).
 func (co *Core) fetchEvents(ev func(int64)) {
-	co.fe.FetchEvent(co.blocked, len(co.queue) < co.capQ(), ev)
+	co.fe.FetchEvent(co.blocked, co.queue.Len() < co.capQ(), ev)
 }

@@ -181,17 +181,17 @@ loop:
 		case isa.OpLd:
 			// Open-coded Memory.Read64 fast path (the method body is
 			// over the inlining budget): resident low-region page, no
-			// page straddle. Absent page reads as zero, v's zero value.
+			// page straddle. Everything else, an absent page included,
+			// takes the slow path, which faults in generated pages.
 			addr := ra + uint64(imm)
 			off := addr & (pageSize - 1)
 			if k := addr >> pageBits; k < lowKeys && off <= pageSize-8 {
 				if p := mem.low[k]; p != nil {
-					v = binary.LittleEndian.Uint64(p.data[off : off+8])
+					v, wb = binary.LittleEndian.Uint64(p.data[off:off+8]), true
+					break
 				}
-				wb = true
-			} else {
-				v, wb = mem.read64Slow(addr), true
 			}
+			v, wb = mem.read64Slow(addr), true
 		case isa.OpSt:
 			// Open-coded Memory.Write64 fast path: resident, unshared,
 			// code-free low-region page and no straddle. This path
@@ -232,15 +232,13 @@ loop:
 			// Open-coded like OpLd (see there).
 			addr := ra + uint64(imm)
 			off := addr & (pageSize - 1)
-			var fb uint64
 			if k := addr >> pageBits; k < lowKeys && off <= pageSize-8 {
 				if p := mem.low[k]; p != nil {
-					fb = binary.LittleEndian.Uint64(p.data[off : off+8])
+					m.F[rd] = math.Float64frombits(binary.LittleEndian.Uint64(p.data[off : off+8]))
+					break
 				}
-			} else {
-				fb = mem.read64Slow(addr)
 			}
-			m.F[rd] = math.Float64frombits(fb)
+			m.F[rd] = math.Float64frombits(mem.read64Slow(addr))
 		case isa.OpStf:
 			// Open-coded like OpSt (see there).
 			addr := ra + uint64(imm)

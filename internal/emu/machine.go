@@ -74,6 +74,8 @@ type Machine struct {
 }
 
 // New creates a machine with the program image loaded and PC at its entry.
+// Literal segments are copied in; generated segments are installed as
+// unmaterialised pages that fill on first touch (DESIGN.md §8.11).
 func New(p *asm.Program) *Machine {
 	m := &Machine{
 		Mem:  NewMemory(),
@@ -81,8 +83,13 @@ func New(p *asm.Program) *Machine {
 		pred: make(map[uint64]*predecodePage),
 	}
 	m.Mem.setCodeWriteHook(m.invalidateCode)
+	// The image goes in first, so a literal segment sharing a page with
+	// a generated one lands on the page's generated bytes.
+	m.Mem.img = newImage(p)
 	for _, seg := range p.Segments {
-		m.Mem.WriteBytes(seg.Addr, seg.Data)
+		if seg.Fill == nil {
+			m.Mem.WriteBytes(seg.Addr, seg.Data)
+		}
 	}
 	m.PC = p.Entry
 	return m

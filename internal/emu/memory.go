@@ -8,6 +8,8 @@ import (
 	"encoding/binary"
 	"sort"
 	"sync/atomic"
+
+	"fxa/internal/asm"
 )
 
 const pageBits = 12
@@ -46,7 +48,8 @@ func newPage() *page {
 }
 
 // Memory is a sparse, paged, little-endian byte-addressable memory.
-// Reads of unwritten locations return zero.
+// Reads of unwritten locations return zero, except inside a generated
+// segment of the loaded image, whose pages are filled on first touch.
 //
 // A Memory must only be accessed from one goroutine at a time, but
 // independent clones may execute concurrently: cloned pages are shared
@@ -58,6 +61,14 @@ type Memory struct {
 	// space.
 	low  []*page
 	high map[uint64]*page
+
+	// img holds the generated segments of the loaded program: a page
+	// they cover is filled from it on first touch (fault). Immutable and
+	// shared with every clone; nil when there are none.
+	img *image
+	// spare holds pages fault has allocated but not yet used; a clone
+	// starts without any.
+	spare []page
 
 	// onCodeWrite, when non-nil, is invoked with the page key before a
 	// write lands in a page whose code flag is set. The hook is
@@ -71,14 +82,100 @@ func NewMemory() *Memory {
 	return &Memory{low: make([]*page, lowKeys)}
 }
 
-// rpage resolves the page containing addr for a read, or nil when the
-// page is not resident.
+// image is the generated part of a program image (asm.Segment.Fill),
+// sorted by address.
+type image struct {
+	segs []asm.Segment
+}
+
+// newImage collects the generated segments of p, or returns nil if it has
+// none.
+func newImage(p *asm.Program) *image {
+	var img *image
+	for _, s := range p.Segments {
+		if s.Fill != nil {
+			if img == nil {
+				img = new(image)
+			}
+			img.segs = append(img.segs, s)
+		}
+	}
+	return img
+}
+
+// covers reports whether any generated segment overlaps page key.
+func (img *image) covers(key uint64) bool {
+	if img == nil {
+		return false
+	}
+	lo := key << pageBits
+	for _, s := range img.segs {
+		if s.Addr < lo+pageSize && lo < s.Addr+s.Size {
+			return true
+		}
+	}
+	return false
+}
+
+// fill writes the generated bytes of page key into dst. Bytes outside
+// every generated segment are left untouched.
+func (img *image) fill(key uint64, dst *[pageSize]byte) {
+	if img == nil {
+		return
+	}
+	lo := key << pageBits
+	for _, s := range img.segs {
+		if a, b := max(lo, s.Addr), min(lo+pageSize, s.Addr+s.Size); a < b {
+			s.Fill(a-s.Addr, dst[a-lo:b-lo])
+		}
+	}
+}
+
+// forEachKey calls fn for the key of every page a generated segment
+// covers.
+func (img *image) forEachKey(fn func(key uint64)) {
+	if img == nil {
+		return
+	}
+	for _, s := range img.segs {
+		for key := s.Addr >> pageBits; key<<pageBits < s.Addr+s.Size; key++ {
+			fn(key)
+		}
+	}
+}
+
+// faultChunk is how many pages fault allocates at once. The allocator
+// would round one 4,104-byte page up to a 4,864-byte size class; 15 pages
+// fill a 64 KiB span with 6% to spare, as one heap object instead of 15.
+const faultChunk = 15
+
+// fault is the one first-touch path for absent pages: when the image
+// covers page key it fills a page, installs it and returns it. A page
+// outside every generated segment is left absent, allocating nothing, and
+// fault returns nil: it reads as zero.
+func (m *Memory) fault(key uint64) *page {
+	if !m.img.covers(key) {
+		return nil
+	}
+	if len(m.spare) == 0 {
+		m.spare = make([]page, faultChunk)
+	}
+	p := &m.spare[0]
+	m.spare = m.spare[1:]
+	p.refs.Store(1)
+	m.img.fill(key, &p.data)
+	m.install(key, p)
+	return p
+}
+
+// rpage resolves the page containing addr for a read, faulting it in on
+// first touch; nil means the page reads as zero.
 func (m *Memory) rpage(addr uint64) *page {
 	key := addr >> pageBits
-	if key < lowKeys {
-		return m.low[key]
+	if p := m.lookup(key); p != nil {
+		return p
 	}
-	return m.high[key]
+	return m.fault(key)
 }
 
 // lookup returns the resident page for key, or nil.
@@ -119,8 +216,7 @@ func (m *Memory) wpageSlow(key uint64) *page {
 	p := m.lookup(key)
 	switch {
 	case p == nil:
-		p = newPage()
-		m.install(key, p)
+		p = m.create(key)
 	case p.refs.Load() > 1:
 		// Copy on write: detach a private copy. The shared original is
 		// only ever read while shared, so copying its bytes races with
@@ -145,6 +241,17 @@ func (m *Memory) wpageSlow(key uint64) *page {
 	return p
 }
 
+// create makes absent page key resident: its generated bytes when the
+// image covers it, zeroes otherwise.
+func (m *Memory) create(key uint64) *page {
+	if p := m.fault(key); p != nil {
+		return p
+	}
+	p := newPage()
+	m.install(key, p)
+	return p
+}
+
 // codePage returns the bytes of page key for predecoding, creating the
 // page if absent, and marks it so that any later write through this or a
 // cloned memory fires the code-write hook. The caller must treat the
@@ -152,8 +259,7 @@ func (m *Memory) wpageSlow(key uint64) *page {
 func (m *Memory) codePage(key uint64) *[pageSize]byte {
 	p := m.lookup(key)
 	if p == nil {
-		p = newPage()
-		m.install(key, p)
+		p = m.create(key)
 	}
 	p.code.Store(true)
 	return &p.data
@@ -172,13 +278,12 @@ func (m *Memory) Load8(addr uint64) byte {
 		if p := m.low[key]; p != nil {
 			return p.data[addr&(pageSize-1)]
 		}
-		return 0
 	}
 	return m.load8Slow(addr)
 }
 
 func (m *Memory) load8Slow(addr uint64) byte {
-	p := m.high[addr>>pageBits]
+	p := m.rpage(addr)
 	if p == nil {
 		return 0
 	}
@@ -198,7 +303,6 @@ func (m *Memory) Read64(addr uint64) uint64 {
 			off := addr & (pageSize - 1)
 			return binary.LittleEndian.Uint64(p.data[off : off+8])
 		}
-		return 0
 	}
 	return m.read64Slow(addr)
 }
@@ -325,30 +429,33 @@ func (m *Memory) SharedPages() int {
 }
 
 // Diff compares two memories byte-for-byte and returns the address of the
-// first differing byte (lowest address). Pages resident in only one memory
-// compare against zeroes, matching read semantics: an unwritten location
-// reads as zero, so an all-zero resident page equals an absent one.
+// first differing byte (lowest address). Every page compares as a read
+// sees it: a resident page by its bytes, an unmaterialised generated page
+// by the bytes its image would fill (rendered without making it
+// resident), and any other absent page as zeroes, so an all-zero resident
+// page equals an absent one.
 func (m *Memory) Diff(o *Memory) (addr uint64, differs bool) {
 	seen := make(map[uint64]bool)
 	keys := make([]uint64, 0, 64)
-	collect := func(key uint64, _ *page) {
+	collect := func(key uint64) {
 		if !seen[key] {
 			seen[key] = true
 			keys = append(keys, key)
 		}
 	}
-	m.forEachPage(collect)
-	o.forEachPage(collect)
+	resident := func(key uint64, _ *page) { collect(key) }
+	m.forEachPage(resident)
+	o.forEachPage(resident)
+	if m.img != o.img {
+		// A page absent from both memories is equal by construction
+		// only when both fill it from the same image.
+		m.img.forEachKey(collect)
+		o.img.forEachKey(collect)
+	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var zero [pageSize]byte
+	var bufA, bufB [pageSize]byte
 	for _, k := range keys {
-		a, b := &zero, &zero
-		if p := m.lookup(k); p != nil {
-			a = &p.data
-		}
-		if p := o.lookup(k); p != nil {
-			b = &p.data
-		}
+		a, b := m.view(k, &bufA), o.view(k, &bufB)
 		if *a == *b {
 			continue
 		}
@@ -359,6 +466,18 @@ func (m *Memory) Diff(o *Memory) (addr uint64, differs bool) {
 		}
 	}
 	return 0, false
+}
+
+// view returns the contents of page key as a read sees them: the resident
+// page, or else its generated bytes (zeroes outside the image) rendered
+// into buf without making the page resident.
+func (m *Memory) view(key uint64, buf *[pageSize]byte) *[pageSize]byte {
+	if p := m.lookup(key); p != nil {
+		return &p.data
+	}
+	*buf = [pageSize]byte{}
+	m.img.fill(key, buf)
+	return buf
 }
 
 // Equal reports whether two memories hold identical contents.
@@ -373,10 +492,12 @@ func (m *Memory) Equal(o *Memory) bool {
 // allocations are independent of how much memory is resident — instead of
 // the seed's full page-by-page byte copy. Writes to the clone never affect
 // the original (and vice versa), and the two may execute on different
-// goroutines. The code-write hook is deliberately not inherited; the
-// cloning Machine installs its own.
+// goroutines. Pages of the generated image that neither side has touched
+// stay unmaterialised: the clone shares the image, and each side faults
+// such a page into its own table on first touch. The code-write hook is
+// deliberately not inherited; the cloning Machine installs its own.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{low: make([]*page, lowKeys)}
+	c := &Memory{low: make([]*page, lowKeys), img: m.img}
 	copy(c.low, m.low)
 	for _, p := range c.low {
 		if p != nil {

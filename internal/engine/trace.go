@@ -35,7 +35,7 @@ type CodeGenTrace interface {
 
 // TraceBatch is the refill size used when the trace supports batching:
 // large enough to amortize the interface call, small enough that the
-// buffer stays resident in L1 (64 records × 32 B = 2 KiB).
+// buffer stays resident in L1 (64 records × 48 B = 3 KiB).
 const TraceBatch = 64
 
 // TraceReader is the shared front half of every timing engine: it

@@ -24,10 +24,10 @@ func (co *Core) registerSkipSources() {
 // candidate: memPortsThisCycle > 0 implies an issue happened this cycle,
 // which marked the cycle active.)
 func (co *Core) headEvents(ev func(int64)) {
-	if len(co.queue) == 0 {
+	if co.queue.Len() == 0 {
 		return
 	}
-	u := co.queue[0]
+	u := co.queue.Front()
 	c := u.fetchCycle + int64(co.cfg.FrontendDepth) + issueDepth
 	for _, r := range u.st.Srcs[:u.st.NSrc] {
 		if rc := co.regReady[r.File][r.Index]; rc > c {
@@ -51,5 +51,5 @@ func (co *Core) headEvents(ev func(int64)) {
 // blocked on an unresolved mispredict resumes via the head-issue path
 // too.
 func (co *Core) fetchEvents(ev func(int64)) {
-	co.fe.FetchEvent(co.blocked, len(co.queue) < co.capQ(), ev)
+	co.fe.FetchEvent(co.blocked, co.queue.Len() < co.capQ(), ev)
 }

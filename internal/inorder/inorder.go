@@ -66,7 +66,9 @@ type Core struct {
 	// wd is the shared deadlock watchdog (progress = an issue).
 	wd engine.Watchdog
 
-	queue []*iuop
+	// queue is the fetch queue, sized capQ() at construction: fetch
+	// checks room first, so it never grows.
+	queue pipeline.Ring[iuop]
 
 	regReady [2][isa.NumIntRegs]int64
 	fu       pipeline.FUPools
@@ -103,6 +105,7 @@ func New(cfg config.Model, trace engine.Trace) (*Core, error) {
 		bp:  bpred.New(cfg.Bpred),
 		fu:  pipeline.NewFUPools(cfg.IntFUs, cfg.MemFUs, cfg.FPFUs),
 	}
+	co.queue = pipeline.NewRing[iuop](co.capQ())
 	// CondBTBAlways=false: the in-order front end short-circuits the BTB
 	// lookup for taken conditionals once the direction check fails.
 	co.fe.Init(co.bp, co.mem, trace, false)
@@ -144,11 +147,11 @@ func (co *Core) Step(nCycles int64) (bool, error) {
 		co.active = false
 		co.issue()
 		co.fetch()
-		if co.fe.Drained() && len(co.queue) == 0 {
+		if co.fe.Drained() && co.queue.Len() == 0 {
 			return true, nil
 		}
 		if co.wd.Stuck(co.cycle) {
-			return false, co.wd.Fail(co.cfg.Name, co.cycle, fmt.Sprintf("queue=%d", len(co.queue)))
+			return false, co.wd.Fail(co.cfg.Name, co.cycle, fmt.Sprintf("queue=%d", co.queue.Len()))
 		}
 		if co.skip.Enabled && !co.active {
 			if j := co.skip.Jump(co.cycle, nCycles-1-n, &co.wd); j > 0 {
@@ -174,13 +177,13 @@ func (co *Core) Result() engine.Result {
 // Occupancy reports the issue-queue depth (engine.OccupancyReporter). The
 // in-order core has no ROB or out-of-order issue queue; its in-flight
 // window is the fetch queue, reported in the ROB slot.
-func (co *Core) Occupancy() (rob, iq int) { return len(co.queue), 0 }
+func (co *Core) Occupancy() (rob, iq int) { return co.queue.Len(), 0 }
 
 // Abort drops the in-flight window after an interrupted run
 // (engine.Aborter). The in-order core holds no pooled resources; clearing
 // the queue just makes the abort explicit.
 func (co *Core) Abort() {
-	co.queue = co.queue[:0]
+	co.queue.Truncate(0)
 	co.fe.DropReplay()
 	co.blocked = false
 }
@@ -192,16 +195,14 @@ func (co *Core) Abort() {
 // construction and the blocked-bit bookkeeping through the admit
 // callback.
 func (co *Core) fetch() {
-	room := co.capQ() - len(co.queue)
+	room := co.capQ() - co.queue.Len()
 	fetched := co.fe.FetchCycle(co.cycle, co.blocked, co.cfg.FetchWidth, room, &co.c,
 		func(rec emu.Record, st *decodecache.Static, mispred bool) {
-			u := &iuop{rec: rec, st: *st, fetchCycle: co.cycle}
+			co.queue.PushBack(iuop{rec: rec, st: *st, fetchCycle: co.cycle, mispredict: mispred})
 			if mispred {
-				u.mispredict = true
 				co.blocked = true
 				co.blockStart = co.cycle
 			}
-			co.queue = append(co.queue, u)
 		})
 	if fetched {
 		co.active = true
@@ -213,8 +214,8 @@ func (co *Core) fetch() {
 // behaviour the paper contrasts with the IXU's flow-through NOPs.
 func (co *Core) issue() {
 	issued := 0
-	for issued < co.cfg.IssueWidth && len(co.queue) > 0 {
-		u := co.queue[0]
+	for issued < co.cfg.IssueWidth && co.queue.Len() > 0 {
+		u := co.queue.Front()
 		if co.cycle < u.fetchCycle+int64(co.cfg.FrontendDepth)+issueDepth {
 			return
 		}
@@ -241,8 +242,8 @@ func (co *Core) issue() {
 			return
 		}
 
-		// Issue.
-		co.queue = co.queue[1:]
+		// Issue. u stays in the queue until the end of this iteration:
+		// popping zeroes its slot.
 		issued++
 		co.active = true
 		co.wd.Progress(co.cycle)
@@ -293,5 +294,6 @@ func (co *Core) issue() {
 
 		co.c.Committed++
 		co.c.CommittedByClass[cls]++
+		co.queue.PopFront()
 	}
 }

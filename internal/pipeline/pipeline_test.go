@@ -98,3 +98,47 @@ func TestFUPools(t *testing.T) {
 		t.Errorf("FirstFree with all free = %d, want first unit 0", got)
 	}
 }
+
+// TestNextEventAllocatesNothing pins the idle scan as allocation-free: the
+// candidate callback is bound once, not built per scan.
+func TestNextEventAllocatesNothing(t *testing.T) {
+	var s Skipper
+	s.AddSource(func(ev func(int64)) { ev(500); ev(90) })
+	s.AddSource(func(ev func(int64)) { ev(300) })
+	now := int64(100)
+	if a := testing.AllocsPerRun(100, func() { now = s.NextEvent(now) - 1 }); a != 0 {
+		t.Errorf("NextEvent allocates %v objects per scan, want 0", a)
+	}
+}
+
+// TestRingOrderAndTruncate pins the FIFO contract across wrap-around,
+// growth and a suffix truncate, for a value ring.
+func TestRingOrderAndTruncate(t *testing.T) {
+	r := NewRing[int](3)
+	next, head := 0, 0
+	for round := 0; round < 5; round++ {
+		for r.Len() < 3 {
+			r.PushBack(next)
+			next++
+		}
+		if *r.Front() != head {
+			t.Fatalf("front = %d, want %d", *r.Front(), head)
+		}
+		r.PopFront()
+		head++
+	}
+	r.PushBack(next) // full ring: grows
+	r.PushBack(next + 1)
+	if r.Len() != 4 {
+		t.Fatalf("len after growth = %d, want 4", r.Len())
+	}
+	for i := 0; i < r.Len(); i++ {
+		if r.At(i) != head+i {
+			t.Fatalf("At(%d) = %d, want %d", i, r.At(i), head+i)
+		}
+	}
+	r.Truncate(1)
+	if r.Len() != 1 || r.At(0) != head {
+		t.Fatalf("after Truncate(1): len %d, front %d", r.Len(), r.At(0))
+	}
+}

@@ -36,6 +36,13 @@ type Skipper struct {
 
 	sources []func(ev func(int64))
 
+	// now and next are the state of the scan in progress, and observe is
+	// the ev callback every source receives: the observe method value,
+	// bound once by the first AddSource, so a scan allocates nothing. A
+	// Skipper must therefore not be copied once a source is registered.
+	now, next int64
+	observe   func(int64)
+
 	skippedCycles int64
 	skipSpans     int64
 }
@@ -44,25 +51,30 @@ type Skipper struct {
 // registration order on every idle-jump scan; each reads its core's
 // end-of-cycle state through its closure.
 func (s *Skipper) AddSource(src func(ev func(int64))) {
+	if s.observe == nil {
+		s.observe = s.event
+	}
 	s.sources = append(s.sources, src)
+}
+
+// event folds one candidate cycle into the scan in progress.
+func (s *Skipper) event(c int64) {
+	if c <= s.now {
+		c = s.now + 1
+	}
+	if c < s.next {
+		s.next = c
+	}
 }
 
 // NextEvent returns a conservative lower bound on the earliest future
 // cycle (> now) at which any registered source can transition.
 func (s *Skipper) NextEvent(now int64) int64 {
-	e := int64(FarFuture)
-	ev := func(c int64) {
-		if c <= now {
-			c = now + 1
-		}
-		if c < e {
-			e = c
-		}
-	}
+	s.now, s.next = now, FarFuture
 	for _, src := range s.sources {
-		src(ev)
+		src(s.observe)
 	}
-	return e
+	return s.next
 }
 
 // Jump returns how many cycles the simulation may advance past now

@@ -9,7 +9,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -114,12 +113,10 @@ func (p Params) Build() (*asm.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w\nsource:\n%s", p.Name, err, src)
 	}
-	// Data segments are built in Go (far too large to express as .quad
-	// directives).
-	prog.Segments = append(prog.Segments,
-		asm.Segment{Addr: brTableBase, Data: p.branchTable()},
-		asm.Segment{Addr: dataBase, Data: p.dataTable()},
-	)
+	// The data tables are far too large to express as .quad directives;
+	// they are generated segments, filled page by page as a run touches
+	// them (image.go).
+	prog.Segments = append(prog.Segments, p.branchTable(), p.dataTable())
 	return prog, nil
 }
 
@@ -183,51 +180,6 @@ func (r *rng) next() uint64 {
 	x ^= x << 17
 	*r = rng(x)
 	return x
-}
-
-// branchTable returns 8192 words of 0/1 with the proxy's taken bias.
-func (p Params) branchTable() []byte {
-	r := newRNG(p.Name + "/branch")
-	buf := make([]byte, brTableLen*8)
-	for i := 0; i < brTableLen; i++ {
-		v := uint64(0)
-		if float64(r.next()%1000)/1000 < p.TakenBias {
-			v = 1
-		}
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
-	return buf
-}
-
-// dataTable returns the proxy's data footprint: random payload words, or —
-// for Chase — a random pointer cycle covering the footprint (each word
-// holds the absolute address of the next element).
-func (p Params) dataTable() []byte {
-	n := p.Footprint / 8
-	buf := make([]byte, p.Footprint)
-	r := newRNG(p.Name + "/data")
-	if p.Chase > 0 || p.Pattern == Chase {
-		// Sattolo's algorithm: a single cycle over all n slots.
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-		for i := n - 1; i > 0; i-- {
-			j := int(r.next() % uint64(i))
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		// Chain slot perm[i] -> perm[i+1]: one cycle over the footprint.
-		for i := 0; i < n; i++ {
-			from := perm[i]
-			to := perm[(i+1)%n]
-			binary.LittleEndian.PutUint64(buf[from*8:], uint64(dataBase+to*8))
-		}
-		return buf
-	}
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(buf[i*8:], r.next()%4096)
-	}
-	return buf
 }
 
 // Register conventions of the generated kernels (see source()).

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"fxa/internal/isa"
@@ -161,15 +162,7 @@ func TestChaseTableIsSingleCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Extract the chase segment and follow the cycle.
-	var data []byte
-	for _, s := range prog.Segments {
-		if s.Addr == dataBase {
-			data = s.Data
-		}
-	}
-	if data == nil {
-		t.Fatal("no data segment")
-	}
+	data := materialize(segmentAt(t, prog, dataBase))
 	n := len(data) / 8
 	visited := make(map[uint64]bool, n)
 	addr := uint64(dataBase)
@@ -205,13 +198,16 @@ func TestDeterministicBuild(t *testing.T) {
 		t.Fatal("segment count differs between builds")
 	}
 	for i := range a.Segments {
-		if a.Segments[i].Addr != b.Segments[i].Addr || len(a.Segments[i].Data) != len(b.Segments[i].Data) {
+		sa, sb := a.Segments[i], b.Segments[i]
+		if sa.Addr != sb.Addr || (sa.Fill == nil) != (sb.Fill == nil) {
 			t.Fatal("segments differ between builds")
 		}
-		for j := range a.Segments[i].Data {
-			if a.Segments[i].Data[j] != b.Segments[i].Data[j] {
-				t.Fatalf("segment %d differs at byte %d", i, j)
-			}
+		da, db := sa.Data, sb.Data
+		if sa.Fill != nil {
+			da, db = materialize(sa), materialize(sb)
+		}
+		if !bytes.Equal(da, db) {
+			t.Fatalf("segment %d differs between builds", i)
 		}
 	}
 }
