@@ -22,7 +22,8 @@
 #   make bench-gate-update  re-record those baselines (after an
 #                intentional perf change; see EXPERIMENTS.md)
 #   make bench-gate-full    the nightly gate: double repetitions
-#   make fuzz    run of the core's random-flush fuzzer (FUZZTIME=30s)
+#   make fuzz    run of the core's random-flush fuzzer, then of the
+#                emulator's trace-loop fuzzer, each for FUZZTIME (30s)
 #   make serve-smoke  end-to-end smoke of the fxad daemon over real
 #                HTTP: build, serve, submit, stream, cache-hit, SIGTERM
 #   make cluster-smoke  multi-shard smoke of the sharded fabric: 3 worker
@@ -166,11 +167,14 @@ bench-gate-full:
 bench-gate-update:
 	$(GO) run ./cmd/fxabench -perfgate -update-baseline -count $(PERFGATE_COUNT)
 
-# Run of the native fuzzer over random flush points (the seed corpus —
-# mid-IXU squash, LQ/SQ partial squash, MSHR exhaustion, RENO squash —
-# always runs as part of `make test` via TestFuzzRandomFlush).
+# Runs of the native fuzzers, one after the other: random flush points in
+# the core (the seed corpus — mid-IXU squash, LQ/SQ partial squash, MSHR
+# exhaustion, RENO squash — always runs as part of `make test` via
+# TestFuzzRandomFlush), then the emulator's block trace loop against Step
+# (its seed corpus runs in `make test` too).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRandomFlush -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceMatchesStep$$' -fuzztime $(FUZZTIME) ./internal/emu
 
 # The sampling differential-validation suite (DESIGN.md §8.7) under the
 # race detector: sampled CIs must cover full-detailed truth for every

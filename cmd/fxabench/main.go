@@ -59,10 +59,11 @@
 // paper's skip-then-measure methodology (Section VI-A) at reduced scale.
 // The sweep summary line then reports the fast-forward volume and
 // throughput ("ff X Minst at Y Minst/s"). -ffmode selects the emulator's
-// fast-forward engine: "fast" (default) uses the predecoded basic-block
-// interpreter, "step" forces the single-instruction reference path — the
+// interpreter for both the fast-forward and the detailed runs' traces:
+// "fast" (default) uses the predecoded block-stepping loops, "step" forces
+// the single-instruction reference path for the whole simulation — the
 // two are bit-identical, so "step" exists for cross-checking and
-// debugging (see DESIGN.md §8.3).
+// debugging (see DESIGN.md §8.3 and §8.12).
 //
 // With -cpuprofile the whole invocation is profiled; with -memprofile an
 // allocation profile ("allocs", cumulative since process start) is written
@@ -171,7 +172,7 @@ func printModels(w io.Writer) {
 func main() {
 	n := flag.Uint64("n", 300_000, "dynamic instructions per benchmark run")
 	warmup := flag.Uint64("warmup", 0, "functional fast-forward instructions before each main-sweep run")
-	ffmode := flag.String("ffmode", "fast", "emulator fast-forward engine: fast (predecoded blocks) or step (reference)")
+	ffmode := flag.String("ffmode", "fast", "emulator interpreter for fast-forward and traces: fast (predecoded blocks) or step (reference)")
 	exp := flag.String("experiment", "all", "which experiment to run ("+strings.Join(validExperiments, ", ")+")")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	format := flag.String("format", "text", "output format: "+strings.Join(validFormats, ", "))

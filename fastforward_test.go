@@ -1,12 +1,14 @@
 package fxa
 
-// Fast-forward differential suite: the emulator's block-stepping fast
-// path (emu.FFFast, the Machine.Run default) must be bit-identical to the
-// one-Step-per-instruction reference path (emu.FFStep) on every compiled
-// test kernel and every synthetic SPEC proxy — registers, memory, PC,
-// halt state and instruction count. internal/emu has the same contract on
-// hand-written corner-case kernels (fast_test.go); this suite runs it
-// over the full workload surface the simulator actually ships.
+// Fast-forward and trace differential suite: the emulator's
+// block-stepping loops (emu.FFFast, the default) must be bit-identical to
+// the one-Step-per-instruction reference path (emu.FFStep) on every
+// compiled test kernel and every synthetic SPEC proxy — for a
+// fast-forward, registers, memory, PC, halt state and instruction count;
+// for a detailed run's trace, every record as well. internal/emu has the
+// same contract on hand-written corner-case kernels (fast_test.go,
+// trace_test.go); this suite runs it over the full workload surface the
+// simulator actually ships.
 
 import (
 	"reflect"
@@ -14,6 +16,7 @@ import (
 
 	"fxa/internal/asm"
 	"fxa/internal/emu"
+	"fxa/internal/engine"
 )
 
 // ffDiffInsts is the per-run budget. Large enough for every proxy to be
@@ -32,13 +35,19 @@ func runFFBoth(t *testing.T, name string, prog *asm.Program) {
 	if ef != nil || es != nil {
 		t.Fatalf("%s: run errors: fast %v, step %v", name, ef, es)
 	}
-	if nf != ns || fast.InstCount != slow.InstCount {
-		t.Fatalf("%s: executed fast %d (total %d), step %d (total %d)",
-			name, nf, fast.InstCount, ns, slow.InstCount)
+	if nf != ns {
+		t.Fatalf("%s: executed fast %d, step %d", name, nf, ns)
 	}
-	if fast.PC != slow.PC || fast.Halt != slow.Halt {
-		t.Fatalf("%s: control state differs: PC %#x/%#x halt %v/%v",
-			name, fast.PC, slow.PC, fast.Halt, slow.Halt)
+	assertSameArch(t, name, fast, slow)
+}
+
+// assertSameArch fails the test unless the block-loop machine fast and
+// the reference machine slow are architecturally identical.
+func assertSameArch(t *testing.T, name string, fast, slow *emu.Machine) {
+	t.Helper()
+	if fast.PC != slow.PC || fast.Halt != slow.Halt || fast.InstCount != slow.InstCount {
+		t.Fatalf("%s: control state differs: PC %#x/%#x halt %v/%v insts %d/%d",
+			name, fast.PC, slow.PC, fast.Halt, slow.Halt, fast.InstCount, slow.InstCount)
 	}
 	if fast.R != slow.R {
 		t.Errorf("%s: integer register file differs", name)
@@ -72,9 +81,69 @@ func TestFastForwardDifferentialProxies(t *testing.T) {
 	}
 }
 
+// runTraceBoth reads ffDiffInsts records of prog through NextBatch (the
+// block trace loop, in the timing engines' batch size) and through Next
+// (one Step per record), and compares every record and the final
+// architectural state.
+func runTraceBoth(t *testing.T, name string, prog *asm.Program) {
+	t.Helper()
+	fast, slow := emu.New(prog), emu.New(prog)
+	fast.FF = emu.FFFast
+	fs, ss := emu.NewStream(fast, ffDiffInsts), emu.NewStream(slow, ffDiffInsts)
+	buf := make([]emu.Record, engine.TraceBatch)
+	var seq uint64
+	for {
+		n := fs.NextBatch(buf)
+		for _, got := range buf[:n] {
+			want, ok := ss.Next()
+			if !ok {
+				t.Fatalf("%s: NextBatch record %d past the end of Next's trace", name, seq)
+			}
+			if got != want {
+				t.Fatalf("%s: record %d = %+v, want %+v", name, seq, got, want)
+			}
+			seq++
+		}
+		if n < len(buf) {
+			break
+		}
+	}
+	if _, ok := ss.Next(); ok {
+		t.Fatalf("%s: NextBatch ended after %d records, Next goes on", name, seq)
+	}
+	if fs.Err() != nil || ss.Err() != nil {
+		t.Fatalf("%s: trace errors: batch %v, next %v", name, fs.Err(), ss.Err())
+	}
+	if seq != ffDiffInsts && !slow.Halt {
+		t.Fatalf("%s: %d records before the cap without a halt", name, seq)
+	}
+	assertSameArch(t, name, fast, slow)
+}
+
+func TestTraceDifferentialKernels(t *testing.T) {
+	for _, path := range testKernels(t) {
+		name, prog := compileKernel(t, path)
+		t.Run(name, func(t *testing.T) { runTraceBoth(t, name, prog) })
+	}
+}
+
+func TestTraceDifferentialProxies(t *testing.T) {
+	for _, w := range Workloads() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			prog, err := w.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runTraceBoth(t, w.Name, prog)
+		})
+	}
+}
+
 // TestRunWarmModeInvariance: a warmed timing run must produce identical
-// results whichever fast-forward engine performed the warmup — the
-// measurement window enters at the same architectural state either way.
+// results whichever interpreter the machine runs on — FFFast's block
+// loops or FFStep's Step, for the warmup fast-forward and for the
+// detailed window's trace alike.
 func TestRunWarmModeInvariance(t *testing.T) {
 	w, err := WorkloadByName("hmmer")
 	if err != nil {

@@ -70,11 +70,12 @@ const (
 // simulator change invalidates them.
 func OpenSweepCache(dir string) (*SweepCache, error) { return sweep.OpenCache(dir) }
 
-// FFMode selects how the emulator advances during functional
-// fast-forward: FFFast uses the predecoded basic-block interpreter (the
-// default, ~5x faster), FFStep forces the single-instruction reference
-// path. The two are bit-identical; FFStep exists for differential testing
-// and debugging.
+// FFMode selects the interpreter the emulator runs on, both for a
+// functional fast-forward and for the trace a detailed run consumes:
+// FFFast uses the predecoded block-stepping loops (the default, ~5x faster
+// for fast-forward, ~3x for traces), FFStep forces the single-instruction
+// reference path for the whole simulation. The two are bit-identical;
+// FFStep exists for differential testing and debugging.
 type FFMode = emu.FFMode
 
 // Re-exported fast-forward modes.

@@ -94,9 +94,9 @@ func BenchmarkCoreFlushHeavy(b *testing.B) {
 }
 
 // benchEngineRun is benchRun through the engine registry, for models of
-// other core kinds (the dual-issue benchmarks below; the blank imports in
-// fuzz_test.go register them). Same timing discipline: trace generation
-// and construction excluded, ns/inst reported.
+// other core kinds (the in-order and dual-issue benchmarks below; the
+// blank imports in fuzz_test.go register them). Same timing discipline:
+// trace generation and construction excluded, ns/inst reported.
 func benchEngineRun(b *testing.B, m config.Model, name string, insts uint64) {
 	b.Helper()
 	b.ReportAllocs()
@@ -134,6 +134,19 @@ func BenchmarkCoreDualIssue(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("%s/%s", tc.model.Name, tc.work), func(b *testing.B) {
 			benchEngineRun(b, tc.model, tc.work, insts)
+		})
+	}
+}
+
+// BenchmarkCoreInOrder measures the LITTLE in-order core (config.Little)
+// on one INT and one FP workload, the same pair as BenchmarkCoreDualIssue,
+// so each of the three core kinds has a detailed-loop benchmark.
+func BenchmarkCoreInOrder(b *testing.B) {
+	const insts = 60_000
+	m := config.Little()
+	for _, work := range []string{"libquantum", "namd"} {
+		b.Run(fmt.Sprintf("%s/%s", m.Name, work), func(b *testing.B) {
+			benchEngineRun(b, m, work, insts)
 		})
 	}
 }

@@ -20,7 +20,7 @@ import (
 func (co *Core) fetch() {
 	room := co.feCap() - co.feQueue.Len()
 	fetched := co.fe.FetchCycle(co.cycle, co.blockingBr != nil, co.cfg.FetchWidth, room, &co.c,
-		func(rec emu.Record, st *decodecache.Static, mispred bool) {
+		func(rec *emu.Record, st *decodecache.Static, mispred bool) {
 			u := co.allocUop(rec, st, co.cycle)
 			if mispred {
 				u.mispredict = true

@@ -44,7 +44,7 @@ import (
 // pipeline-residency reference. Static decode metadata is a template
 // stamp from the per-PC decode cache (looked up by the shared front end
 // and passed in); only the dynamic fields are set here.
-func (co *Core) allocUop(rec emu.Record, st *decodecache.Static, cycle int64) *uop {
+func (co *Core) allocUop(rec *emu.Record, st *decodecache.Static, cycle int64) *uop {
 	var u *uop
 	if n := len(co.pool); n > 0 {
 		u = co.pool[n-1]
@@ -57,7 +57,7 @@ func (co *Core) allocUop(rec emu.Record, st *decodecache.Static, cycle int64) *u
 	co.uopLive++
 
 	u.st = *st
-	u.rec = rec
+	u.rec = *rec
 	u.fetchCycle = cycle
 	u.renameCycle = farFuture
 	u.dispatchCycle = farFuture

@@ -212,8 +212,12 @@ func (co *Core) Abort() {
 func (co *Core) fetch() {
 	room := co.capQ() - co.queue.Len()
 	fetched := co.fe.FetchCycle(co.cycle, co.blocked, co.cfg.FetchWidth, room, &co.c,
-		func(rec emu.Record, st *decodecache.Static, mispred bool) {
-			co.queue.PushBack(iuop{rec: rec, st: *st, fetchCycle: co.cycle, mispredict: mispred})
+		func(rec *emu.Record, st *decodecache.Static, mispred bool) {
+			u := co.queue.PushSlot()
+			u.rec = *rec
+			u.st = *st
+			u.fetchCycle = co.cycle
+			u.mispredict = mispred
 			if mispred {
 				co.blocked = true
 				co.blockStart = co.cycle

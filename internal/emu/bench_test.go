@@ -12,6 +12,9 @@ package emu_test
 //   - BenchmarkEmuStepForward: the same workloads on the reference
 //     one-Step-per-instruction path, so the fast-path ratio is always one
 //     benchstat away.
+//   - BenchmarkEmuTrace: trace production for detailed runs, the same
+//     workloads read as records through Stream.NextBatch in
+//     engine-sized batches (DESIGN.md §8.12).
 //   - BenchmarkMemoryClone / BenchmarkMachineClone: O(1)-snapshot cost —
 //     allocs/op must stay constant as resident memory grows (the COW
 //     page-table copy), never scale with it.
@@ -81,6 +84,43 @@ func materialize(m *emu.Machine, prog *asm.Program) {
 func BenchmarkEmuFastForward(b *testing.B) { benchFF(b, emu.FFFast) }
 
 func BenchmarkEmuStepForward(b *testing.B) { benchFF(b, emu.FFStep) }
+
+// BenchmarkEmuTrace reads ffBenchInsts records per iteration through
+// Stream.NextBatch in 64-record batches (engine.TraceBatch), reporting
+// ns/inst and records per second (Minst/s). Setup and page
+// materialisation are outside the timer, as in benchFF.
+func BenchmarkEmuTrace(b *testing.B) {
+	for _, name := range ffBenchWorkloads {
+		w, ok := workload.ByName(name)
+		if !ok {
+			b.Fatalf("unknown workload %s", name)
+		}
+		prog, err := w.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]emu.Record, 64)
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				m := emu.New(prog)
+				materialize(m, prog)
+				s := emu.NewStream(m, ffBenchInsts)
+				b.StartTimer()
+				for s.NextBatch(buf) == len(buf) {
+				}
+				b.StopTimer()
+				if s.Err() != nil || m.InstCount != ffBenchInsts {
+					b.Fatalf("traced %d records, err %v", m.InstCount, s.Err())
+				}
+			}
+			sec := b.Elapsed().Seconds()
+			b.ReportMetric(sec*1e9/float64(b.N)/ffBenchInsts, "ns/inst")
+			b.ReportMetric(float64(b.N)*ffBenchInsts/sec/1e6, "Minst/s")
+		})
+	}
+}
 
 // BenchmarkMemoryClone measures the copy-on-write snapshot at a realistic
 // resident footprint (mcf's 8 MB random-access working set, ~2000 pages).

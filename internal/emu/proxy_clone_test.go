@@ -51,3 +51,62 @@ func TestProxyClonesFaultConcurrently(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyClonesTraceConcurrently traces clones of one freshly loaded
+// proxy through NextBatch on separate goroutines, each clone faulting
+// the shared image's pages and building its own predecode map. Every
+// clone's records and final state must match a serial Next trace; run it
+// under `go test -race -count=10` after touching the trace loop.
+func TestProxyClonesTraceConcurrently(t *testing.T) {
+	const insts = 30_000
+	for _, name := range []string{"gcc", "mcf"} {
+		w, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("unknown workload %q", name)
+		}
+		prog := w.MustBuild()
+		ref := emu.New(prog)
+		rs := emu.NewStream(ref, insts)
+		var want []emu.Record
+		for r, ok := rs.Next(); ok; r, ok = rs.Next() {
+			want = append(want, r)
+		}
+		m := emu.New(prog)
+		cs := make([]*emu.Machine, 4)
+		for i := range cs {
+			cs[i] = m.Clone()
+		}
+		got := make([][]emu.Record, len(cs))
+		errs := make([]error, len(cs))
+		var wg sync.WaitGroup
+		for i, c := range cs {
+			wg.Add(1)
+			go func(i int, c *emu.Machine) {
+				defer wg.Done()
+				s := emu.NewStream(c, insts)
+				buf := make([]emu.Record, 64)
+				for n := s.NextBatch(buf); n > 0; n = s.NextBatch(buf) {
+					got[i] = append(got[i], buf[:n]...)
+				}
+				errs[i] = s.Err()
+			}(i, c)
+		}
+		wg.Wait()
+		for i, c := range cs {
+			if errs[i] != nil {
+				t.Fatalf("%s clone %d: %v", name, i, errs[i])
+			}
+			if len(got[i]) != len(want) {
+				t.Fatalf("%s clone %d: %d records, want %d", name, i, len(got[i]), len(want))
+			}
+			for j := range want {
+				if got[i][j] != want[j] {
+					t.Fatalf("%s clone %d: record %d = %+v, want %+v", name, i, j, got[i][j], want[j])
+				}
+			}
+			if c.R != ref.R || c.PC != ref.PC || c.InstCount != ref.InstCount || !c.Mem.Equal(ref.Mem) {
+				t.Fatalf("%s clone %d diverged from the serial trace", name, i)
+			}
+		}
+	}
+}

@@ -275,8 +275,8 @@ func drainReader(t *testing.T, r TraceReader) []uint64 {
 	t.Helper()
 	var seqs []uint64
 	for {
-		rec, ok := r.Next()
-		if !ok {
+		rec := r.Next()
+		if rec == nil {
 			break
 		}
 		seqs = append(seqs, rec.Seq)
@@ -284,7 +284,7 @@ func drainReader(t *testing.T, r TraceReader) []uint64 {
 	if !r.Done() {
 		t.Error("reader not Done after end of trace")
 	}
-	if _, ok := r.Next(); ok {
+	if r.Next() != nil {
 		t.Error("Next returned a record after Done")
 	}
 	return seqs

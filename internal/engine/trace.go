@@ -11,11 +11,12 @@ type Trace interface {
 // BatchTrace is an optional extension of Trace. NextBatch fills buf with
 // the next records and returns how many it produced, allowing a front
 // end to pay the per-record interface-call overhead once per batch. A
-// zero return means the trace ended; a short non-zero return is legal
-// (the consumer simply refills later). The record sequence must be
-// exactly what repeated Next calls would yield. emu.Stream implements
-// this; NewTraceReader detects it with a type assertion at construction
-// and falls back to Next otherwise.
+// zero return means the trace ended. The interface allows a short
+// non-zero return (the consumer simply refills later); emu.Stream never
+// makes one, since it fills the buffer unless the stream ends. The record
+// sequence must be exactly what repeated Next calls would yield.
+// NewTraceReader detects this interface with a type assertion at
+// construction and falls back to Next otherwise.
 type BatchTrace interface {
 	Trace
 	NextBatch(buf []emu.Record) int
@@ -46,7 +47,10 @@ const TraceBatch = 64
 // is the single copy.
 //
 // TraceReader is a value type embedded in the engine structs — its only
-// allocation is the batch buffer, made once at construction.
+// allocation is the record buffer, made once at construction. Records are
+// handed out by pointer into that buffer, so a record is copied once on
+// its way from the emulator to a timing core: into the core's own
+// instruction slot.
 type TraceReader struct {
 	trace   Trace
 	batcher BatchTrace
@@ -61,51 +65,52 @@ func NewTraceReader(t Trace) TraceReader {
 	if bt, ok := t.(BatchTrace); ok {
 		r.batcher = bt
 		r.buf = make([]emu.Record, 0, TraceBatch)
+	} else {
+		r.buf = make([]emu.Record, 0, 1)
 	}
 	return r
 }
 
-// Next returns the next committed-path record, or ok=false when the
-// trace has ended. After the first false return every later call is
-// false too (Done latches).
+// Next returns the next committed-path record, or nil when the trace has
+// ended. The record lives in the reader's buffer: it stays valid until
+// the next Next call, so a consumer that keeps it copies it first. After
+// the first nil return every later call is nil too (Done latches).
 //
 // The buffered-record fast path is deliberately small enough to inline
 // into the timing cores' fetch stages (it runs once per fetched
 // instruction); refills, end-of-trace and the unbatched fallback take
 // the out-of-line nextSlow call.
-func (r *TraceReader) Next() (emu.Record, bool) {
+func (r *TraceReader) Next() *emu.Record {
 	if r.head < len(r.buf) {
-		rec := r.buf[r.head]
 		r.head++
-		return rec, true
+		return &r.buf[r.head-1]
 	}
 	return r.nextSlow()
 }
 
 // nextSlow is the out-of-line remainder of Next: end-of-trace, batch
 // refills, and the record-at-a-time path for traces without batch
-// support.
-func (r *TraceReader) nextSlow() (emu.Record, bool) {
+// support (one record in a one-slot buffer).
+func (r *TraceReader) nextSlow() *emu.Record {
 	if r.done {
-		return emu.Record{}, false
+		return nil
 	}
+	n := 0
 	if r.batcher != nil {
-		n := r.batcher.NextBatch(r.buf[:cap(r.buf)])
-		r.buf = r.buf[:n]
-		if n == 0 {
-			r.head = 0
-			r.done = true
-			return emu.Record{}, false
-		}
-		r.head = 1
-		return r.buf[0], true
+		n = r.batcher.NextBatch(r.buf[:cap(r.buf)])
+	} else if rec, ok := r.trace.Next(); ok {
+		r.buf = append(r.buf[:0], rec)
+		n = 1
 	}
-	rec, ok := r.trace.Next()
-	if !ok {
+	r.buf = r.buf[:n]
+	if n == 0 {
+		r.head = 0
 		r.done = true
+		return nil
 	}
-	return rec, ok
+	r.head = 1
+	return &r.buf[0]
 }
 
-// Done reports whether the trace has ended (a Next call returned false).
+// Done reports whether the trace has ended (a Next call returned nil).
 func (r *TraceReader) Done() bool { return r.done }

@@ -97,30 +97,35 @@ func (f *Frontend) SyncDecodeCache() {
 	}
 }
 
-// nextRec returns the next record to fetch: a previously stalled record,
-// then replayed (flushed) records, then the live trace.
-func (f *Frontend) nextRec() (emu.Record, bool) {
+// nextRec returns the next record to fetch — a previously stalled record,
+// then replayed (flushed) records, then the live trace — or nil when none
+// is left. The record stays in the front end's or the trace reader's
+// storage and is valid until the next nextRec, Requeue or DropReplay
+// call; the fetch loop hands it to the core, which copies it.
+func (f *Frontend) nextRec() *emu.Record {
 	if f.hasPending {
 		f.hasPending = false
-		return f.pendingRec, true
+		return &f.pendingRec
 	}
 	if f.replayHead < len(f.replay) {
-		r := f.replay[f.replayHead]
+		r := &f.replay[f.replayHead]
 		f.replayHead++
 		if f.replayHead == len(f.replay) {
 			// Fully consumed: reset so the buffer is reusable by the
-			// next flush without reallocating.
+			// next flush without reallocating (r stays readable until
+			// the next Requeue overwrites the backing array).
 			f.replay = f.replay[:0]
 			f.replayHead = 0
 		}
-		return r, true
+		return r
 	}
 	return f.TR.Next()
 }
 
-// Unget pushes a record back so the next fetch cycle retries it.
-func (f *Frontend) Unget(r emu.Record) {
-	f.pendingRec = r
+// Unget pushes a copy of a record back so the next fetch cycle retries
+// it.
+func (f *Frontend) Unget(r *emu.Record) {
+	f.pendingRec = *r
 	f.hasPending = true
 }
 
@@ -173,22 +178,23 @@ func (f *Frontend) DropReplay() {
 // while room lasts, predictor consultation for branches, fetch groups
 // ending at taken branches or a misprediction. blocked reflects the
 // core's unresolved-mispredict gate. For each admitted instruction the
-// admit callback receives the record, its static decode template (valid
-// until the next Lookup — copy, don't retain), and whether the branch
-// mispredicted; the callback owns queue insertion and any core-specific
-// bookkeeping (uop allocation, blocking-branch tracking, probes).
+// admit callback receives the record (valid only during the call — copy,
+// don't retain), its static decode template (valid until the next Lookup
+// — copy, don't retain), and whether the branch mispredicted; the
+// callback owns queue insertion and any core-specific bookkeeping (uop
+// allocation, blocking-branch tracking, probes).
 //
 // Returns whether anything was fetched this cycle (including a record
 // bounced by an I-cache miss), i.e. whether the cycle was active.
 func (f *Frontend) FetchCycle(cycle int64, blocked bool, width, room int, c *stats.Counters,
-	admit func(rec emu.Record, st *decodecache.Static, mispred bool)) bool {
+	admit func(rec *emu.Record, st *decodecache.Static, mispred bool)) bool {
 	if blocked || cycle < f.FetchStall {
 		return false
 	}
 	fetched := false
 	for n := 0; n < width && room > 0; n++ {
-		rec, ok := f.nextRec()
-		if !ok {
+		rec := f.nextRec()
+		if rec == nil {
 			return fetched
 		}
 		fetched = true
@@ -228,7 +234,7 @@ func (f *Frontend) FetchCycle(cycle int64, blocked bool, width, room int, c *sta
 // predictBranch consults the predictor for one fetched branch and returns
 // whether it mispredicted (direction or target). Decode-stage target
 // redirects (direction right, BTB miss) push FetchStall by two cycles.
-func (f *Frontend) predictBranch(cycle int64, rec emu.Record, st *decodecache.Static, c *stats.Counters) bool {
+func (f *Frontend) predictBranch(cycle int64, rec *emu.Record, st *decodecache.Static, c *stats.Counters) bool {
 	c.Branches++
 	mispred := false
 	switch {

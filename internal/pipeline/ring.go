@@ -51,12 +51,19 @@ func (r *Ring[T]) Set(i int, v T) { r.buf[r.slot(i)] = v }
 // PushBack appends v, growing the backing array if the ring is full (the
 // cores check their structural limits first, so growth only happens when
 // a caller runs an over-subscribed configuration).
-func (r *Ring[T]) PushBack(v T) {
+func (r *Ring[T]) PushBack(v T) { *r.PushSlot() = v }
+
+// PushSlot appends a zero entry and returns it in place for the caller to
+// fill, so a large entry is written once instead of being built and then
+// copied in by PushBack. The pointer stays valid until the next push,
+// PopFront or Truncate.
+func (r *Ring[T]) PushSlot() *T {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[r.slot(r.n)] = v
+	p := &r.buf[r.slot(r.n)]
 	r.n++
+	return p
 }
 
 // PopFront removes the oldest entry.
