@@ -12,7 +12,7 @@
 #   make bench-core  the core timing-loop suite alone, single repetition;
 #                BENCH_CORE_CPUPROFILE=x.pprof also collects a CPU profile
 #   make bench-emu  functional fast-forward + snapshot benchmarks
-#                (the historical speedup record is BENCH_ff_history.json)
+#                (judged by bench-gate against BENCH_emu.json)
 #   make bench-figures  one pass over the table/figure benchmarks
 #   make bench-gate  the statistical performance-regression gate: run the
 #                core/emu/sampling suites with repetitions and compare
@@ -34,6 +34,9 @@
 #                router-restart case; logs kept in CHAOS_WORK
 #   make ci-sanity  fail if any CI workflow invokes a make target that
 #                does not exist in this Makefile
+#   make surface  print the two size figures ROADMAP.md tracks: non-test
+#                Go lines (outside benchmark/) and exported top-level
+#                symbols; prints only, gates nothing
 #   make bench-smoke  the end-to-end benchmark's own checks: vet and test
 #                the benchmark module, then run each workload for 2 s and
 #                fail unless every op is correct (benchmark/NOTES.md)
@@ -77,7 +80,7 @@ STATICCHECK ?= staticcheck
 .PHONY: tier1 check build vet test race race-full lint fmt-check \
 	bench bench-core bench-emu bench-figures bench-gate bench-gate-full \
 	bench-gate-update fuzz serve-smoke cluster-smoke cluster-chaos \
-	ci-sanity sampling-validate sampling-long bench-smoke
+	ci-sanity surface sampling-validate sampling-long bench-smoke
 
 # bench-core profiling knob: when set, the core suite also writes a CPU
 # profile there (e.g. `make bench-core BENCH_CORE_CPUPROFILE=core.pprof`;
@@ -139,8 +142,7 @@ bench-core:
 		$(BENCH_CORE_FLAGS) ./internal/core
 
 # Functional fast-forward and snapshot benchmarks (DESIGN.md §8.3).
-# The before/after record of the fast-path work is BENCH_ff_history.json;
-# the live regression baseline is BENCH_emu.json (see bench-gate).
+# The live regression baseline is BENCH_emu.json (see bench-gate).
 bench-emu:
 	$(GO) test -bench 'BenchmarkEmu|BenchmarkMemoryClone|BenchmarkMachineClone' -benchmem -count=5 -run '^$$' ./internal/emu
 	$(GO) test -bench 'BenchmarkSamplingEndToEnd' -benchmem -count=5 -run '^$$' ./internal/sampling
@@ -219,6 +221,14 @@ cluster-chaos:
 # workflows must exist here.
 ci-sanity:
 	./scripts/ci_sanity.sh
+
+# The code-size figures of the ROADMAP north star: non-test Go lines of
+# the main module, and exported top-level symbols as `go doc -short`
+# lists them, summed over every package. CI prints them in the lint job
+# so each PR's log records both; nothing is compared against them.
+surface:
+	@echo "surface: non-test Go lines: $$(git ls-files '*.go' ':!:*_test.go' ':!:benchmark/' | xargs cat | wc -l)"
+	@echo "surface: exported symbols: $$(for p in $$($(GO) list ./...); do $(GO) doc -short $$p; done | wc -l)"
 
 # The end-to-end benchmark (benchmark/, BENCHMARK.json) checked the way it
 # is run: vet and unit tests of its module, then a 2-second untraced run

@@ -29,7 +29,6 @@ import (
 	// Blank imports register the timing cores with the engine layer; the
 	// public API never names a core package.
 	_ "fxa/internal/core"
-	_ "fxa/internal/dualissue"
 	_ "fxa/internal/inorder"
 )
 
@@ -122,7 +121,8 @@ var (
 func Models() []Model { return config.Models() }
 
 // AllModels returns every named model across all registered core kinds:
-// the paper's five plus DUAL-SI and DUAL (internal/dualissue).
+// the paper's five plus DUAL-SI and DUAL (LITTLE's in-order pipeline with
+// an INT/FP pairing rule on the second issue slot).
 func AllModels() []Model { return config.AllModels() }
 
 // ModelByName resolves "BIG", "HALF", "LITTLE", "BIG+FX", "HALF+FX",
@@ -186,8 +186,8 @@ func WorkloadByName(name string) (Workload, error) {
 
 // Run simulates maxInsts dynamic instructions of w on model m and returns
 // the collected statistics. The timing model (out-of-order internal/core
-// or in-order internal/inorder) is resolved through the engine registry
-// by m.Kind.
+// or in-order internal/inorder, which serves both in-order kinds) is
+// resolved through the engine registry by m.Kind.
 func Run(m Model, w Workload, maxInsts uint64) (Result, error) {
 	trace, err := w.NewTrace(maxInsts)
 	if err != nil {

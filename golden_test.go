@@ -1,7 +1,7 @@
 package fxa
 
 // Golden-result regression suite: every model of Table I is run on every
-// .fxk test kernel and the full core.Result — cycles, IPC-relevant
+// .fxk test kernel and the full engine.Result — cycles, IPC-relevant
 // counters, cache/predictor statistics, energy event counts — is compared
 // bit-for-bit against a recorded JSON file under testdata/golden/.
 //

@@ -1,6 +1,7 @@
 // Package config defines the processor and device configurations of the
 // paper's evaluation (Tables I and II) and the named models compared in
-// Section VI: BIG, HALF, LITTLE, BIG+FX, and HALF+FX.
+// Section VI: BIG, HALF, LITTLE, BIG+FX, and HALF+FX, plus the DUAL-SI
+// and DUAL pair of the extended big.LITTLE landscape.
 package config
 
 import (
@@ -16,7 +17,7 @@ type CoreKind int
 const (
 	OutOfOrder       CoreKind = iota // internal/core
 	InOrder                          // internal/inorder
-	DualIssueInOrder                 // internal/dualissue
+	DualIssueInOrder                 // internal/inorder, INT/FP pairing on slot 1
 )
 
 // String returns the kind's registry name, matching what engine.Kinds and

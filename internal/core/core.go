@@ -27,19 +27,6 @@ import (
 	"fxa/internal/stats"
 )
 
-// Trace supplies committed-path dynamic instruction records. It is the
-// engine layer's trace interface; the alias remains for the package's
-// historical API surface.
-type Trace = engine.Trace
-
-// BatchTrace is the optional batched extension of Trace (see
-// engine.BatchTrace); emu.Stream implements it.
-type BatchTrace = engine.BatchTrace
-
-// Result bundles everything a simulation run produces. It is the
-// engine layer's schema-versioned result type (see engine.Result).
-type Result = engine.Result
-
 // minIssueDelay is the dispatch-to-earliest-issue depth of the scheduling
 // pipeline (wakeup/select/payload stages). Together with
 // Model.FrontendDepth and RedirectLatency it produces the Table I
@@ -129,17 +116,17 @@ type Core struct {
 	debug func()
 
 	// tracer, when non-nil, receives pipeline events (see tracer.go).
-	tracer      PipeTracer
+	tracer      engine.Probe
 	nextTraceID uint64
 }
 
 // New builds a core simulation for model cfg fed by trace.
-func New(cfg config.Model, trace Trace) (*Core, error) {
+func New(cfg config.Model, trace engine.Trace) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Kind != config.OutOfOrder {
-		return nil, fmt.Errorf("core: model %s is not an out-of-order core (use internal/inorder)", cfg.Name)
+		return nil, fmt.Errorf("core: model %s is not an out-of-order core (both in-order kinds are internal/inorder)", cfg.Name)
 	}
 	co := &Core{
 		cfg: cfg,
@@ -159,7 +146,7 @@ func New(cfg config.Model, trace Trace) (*Core, error) {
 	// direction prediction, so the BTB trains even on a direction
 	// misprediction (CondBTBAlways).
 	co.fe.Init(co.bp, co.mem, trace, true)
-	co.skip.Enabled = engine.IdleSkip()
+	co.skip.Enabled = true
 	co.registerSkipSources()
 	if cfg.FX {
 		co.ixu = make([][]*uop, cfg.IXU.Stages())
@@ -203,7 +190,7 @@ func init() {
 // returning the collected statistics. It delegates to engine.Drive, so
 // cancelling ctx interrupts the run within engine.DefaultCheckEvery
 // simulated cycles.
-func (co *Core) Run(ctx context.Context) (Result, error) {
+func (co *Core) Run(ctx context.Context) (engine.Result, error) {
 	return engine.Drive(ctx, co, engine.Options{})
 }
 
@@ -249,7 +236,7 @@ func (co *Core) Step(nCycles int64) (bool, error) {
 	return false, nil
 }
 
-// SetIdleSkip overrides the process-wide default (engine.SetIdleSkip) for
+// SetIdleSkip turns idle-cycle skipping (on by default) on or off for
 // this core. Skip-on and skip-off runs are bit-identical; the knob exists
 // for the differential suite and debugging, not fidelity.
 func (co *Core) SetIdleSkip(on bool) { co.skip.Enabled = on }
@@ -261,7 +248,7 @@ func (co *Core) SkipStats() (cycles, spans int64) { return co.skip.SkipStats() }
 
 // Result assembles the statistics collected so far (engine.Engine). It is
 // idempotent and safe to call mid-run.
-func (co *Core) Result() Result {
+func (co *Core) Result() engine.Result {
 	return pipeline.BuildResult(co.cfg.Name, co.c, co.cycle, co.mem, co.bp, co.ss)
 }
 

@@ -8,12 +8,13 @@ import (
 	"fxa/internal/asm"
 	"fxa/internal/config"
 	"fxa/internal/emu"
+	"fxa/internal/engine"
 )
 
 // runModel assembles src, executes it functionally to find the committed
 // instruction count, then runs the timing model and checks the model
 // committed exactly the architectural instruction stream.
-func runModel(t *testing.T, m config.Model, src string) Result {
+func runModel(t *testing.T, m config.Model, src string) engine.Result {
 	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	// Register the non-out-of-order kinds so the registry-driven fuzz
 	// variants can construct them through engine.New.
-	_ "fxa/internal/dualissue"
 	_ "fxa/internal/inorder"
 )
 
@@ -180,10 +179,10 @@ func TestFuzzAllModelsMatchEmulator(t *testing.T) {
 // skip-off runs inject at different points — this harness checks the
 // architectural invariants of each mode independently, not bit-identity
 // (see runWithCommitKeyedFlushes in skip_test.go for that).
-func runWithInjectedFlushes(m config.Model, prog *asm.Program, flushSeed int64, spacing int, skip bool) (*Core, Result, int, error) {
+func runWithInjectedFlushes(m config.Model, prog *asm.Program, flushSeed int64, spacing int, skip bool) (*Core, engine.Result, int, error) {
 	co, err := New(m, emu.NewStream(emu.New(prog), 0))
 	if err != nil {
-		return nil, Result{}, 0, err
+		return nil, engine.Result{}, 0, err
 	}
 	co.SetIdleSkip(skip)
 	r := rand.New(rand.NewSource(flushSeed))
@@ -207,7 +206,7 @@ func runWithInjectedFlushes(m config.Model, prog *asm.Program, flushSeed int64, 
 // checkFlushRun asserts the two invariants every injected-flush run must
 // preserve: the committed stream is exactly the architectural one, and the
 // uop pool conserves instances (no leaks, no double-frees) after drain.
-func checkFlushRun(t *testing.T, label string, co *Core, res Result, want uint64) {
+func checkFlushRun(t *testing.T, label string, co *Core, res engine.Result, want uint64) {
 	t.Helper()
 	if res.Counters.Committed != want {
 		t.Errorf("%s: committed %d, want %d", label, res.Counters.Committed, want)
@@ -254,15 +253,18 @@ func flushFuzzModel(variant uint8) config.Model {
 // registry. Those cores expose no flush-injection hook (they never
 // speculate past a memory ordering), so the scenario degenerates to the
 // drain/commit invariant under the selected skip mode — which is exactly
-// what a registry-dispatched kind must still satisfy.
-func runNonOoOFuzz(m config.Model, prog *asm.Program, skip bool) (Result, error) {
+// what a registry-dispatched kind must still satisfy. An engine without
+// SetIdleSkip is an error: it could only ever run skip-on.
+func runNonOoOFuzz(m config.Model, prog *asm.Program, skip bool) (engine.Result, error) {
 	e, err := engine.New(m, emu.NewStream(emu.New(prog), 0))
 	if err != nil {
-		return Result{}, err
+		return engine.Result{}, err
 	}
-	if s, ok := e.(interface{ SetIdleSkip(bool) }); ok {
-		s.SetIdleSkip(skip)
+	s, ok := e.(interface{ SetIdleSkip(bool) })
+	if !ok {
+		return engine.Result{}, fmt.Errorf("%s: engine %T has no SetIdleSkip", m.Name, e)
 	}
+	s.SetIdleSkip(skip)
 	return e.Run(context.Background())
 }
 

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"fxa/internal/config"
+	"fxa/internal/engine"
 	"fxa/internal/workload"
 )
 
 func TestProbeIXUMem(t *testing.T) {
 	w, _ := workload.ByName("hmmer")
-	run := func(m config.Model) Result {
+	run := func(m config.Model) engine.Result {
 		tr, err := w.NewTrace(120_000)
 		if err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"fxa/internal/asm"
 	"fxa/internal/config"
 	"fxa/internal/emu"
+	"fxa/internal/engine"
 )
 
 // runWithCommitKeyedFlushes runs prog on m injecting random suffix
@@ -18,10 +19,10 @@ import (
 // identical cycles in skip-on and skip-off runs and commit cycles are
 // always iterated (never jumped over), so the injection points — and
 // therefore the entire run — must be bit-identical across the two modes.
-func runWithCommitKeyedFlushes(m config.Model, prog *asm.Program, flushSeed int64, every uint64, skip bool) (*Core, Result, int, error) {
+func runWithCommitKeyedFlushes(m config.Model, prog *asm.Program, flushSeed int64, every uint64, skip bool) (*Core, engine.Result, int, error) {
 	co, err := New(m, emu.NewStream(emu.New(prog), 0))
 	if err != nil {
-		return nil, Result{}, 0, err
+		return nil, engine.Result{}, 0, err
 	}
 	co.SetIdleSkip(skip)
 	r := rand.New(rand.NewSource(flushSeed))
@@ -42,7 +43,7 @@ func runWithCommitKeyedFlushes(m config.Model, prog *asm.Program, flushSeed int6
 }
 
 // TestSkipDifferentialInjectedFlushes proves skip ≡ tick under randomly
-// injected flushes on every fuzz model variant: the full Result of a
+// injected flushes on every fuzz model variant: the full engine.Result of a
 // skip-on run equals the skip-off run bit for bit, flushes included.
 func TestSkipDifferentialInjectedFlushes(t *testing.T) {
 	progSeeds := []int64{3, 1234}

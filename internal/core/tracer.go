@@ -2,20 +2,11 @@ package core
 
 import "fxa/internal/engine"
 
-// PipeTracer receives pipeline events for visualization. It is the engine
-// layer's Probe interface (see engine.Probe); the alias remains for the
-// package's historical API surface. The canonical implementation is
-// internal/pipetrace, which writes the Kanata log format readable by the
-// Konata pipeline viewer (the visualizer ecosystem of the paper's own
-// research group).
-type PipeTracer = engine.Probe
-
-// SetTracer attaches a pipeline tracer. Must be called before the first
-// Step.
-func (co *Core) SetTracer(t PipeTracer) { co.tracer = t }
-
-// SetProbe attaches a pipeline-event probe (engine.ProbeAttacher). It is
-// SetTracer under the engine layer's name.
+// SetProbe attaches a pipeline-event probe (engine.ProbeAttacher) for
+// visualization. Must be called before the first Step. The canonical
+// implementation is internal/pipetrace, which writes the Kanata log
+// format readable by the Konata pipeline viewer (the visualizer ecosystem
+// of the paper's own research group).
 func (co *Core) SetProbe(p engine.Probe) { co.tracer = p }
 
 func (co *Core) traceStart(u *uop) {

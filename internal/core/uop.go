@@ -80,7 +80,7 @@ type uop struct {
 	// instruction consumes no execution resources.
 	renoElim bool
 
-	// traceID identifies this instance to an attached PipeTracer.
+	// traceID identifies this instance to an attached engine.Probe.
 	traceID uint64
 
 	// refs is the pool reference count (see pool.go): pipeline residency

@@ -5,10 +5,9 @@ package emu_test
 // §8.3):
 //
 //   - BenchmarkEmuFastForward: ns/inst of the block-stepping fast path
-//     (Machine.Run in the default FFFast mode). The before/after snapshot
-//     of the original fast-path work lives in BENCH_ff_history.json;
-//     `make bench-emu` re-measures, and `make bench-gate` judges these
-//     benchmarks against the live BENCH_emu.json perfgate baseline.
+//     (Machine.Run in the default FFFast mode). `make bench-emu`
+//     re-measures, and `make bench-gate` judges these benchmarks against
+//     the live BENCH_emu.json perfgate baseline.
 //   - BenchmarkEmuStepForward: the same workloads on the reference
 //     one-Step-per-instruction path, so the fast-path ratio is always one
 //     benchstat away.

@@ -24,7 +24,7 @@ import (
 	"fmt"
 
 	"fxa/internal/config"
-	"fxa/internal/core"
+	"fxa/internal/engine"
 	"fxa/internal/isa"
 )
 
@@ -125,7 +125,7 @@ func (b *Breakdown) TotalStatic() float64 {
 }
 
 // Estimate computes the energy breakdown of one simulation run.
-func Estimate(m config.Model, dev config.Device, r core.Result) Breakdown {
+func Estimate(m config.Model, dev config.Device, r engine.Result) Breakdown {
 	p := defaultParams
 	var b Breakdown
 	c := &r.Counters

@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"fxa/internal/config"
-	"fxa/internal/core"
+	"fxa/internal/engine"
 	"fxa/internal/isa"
 	"fxa/internal/stats"
 )
 
 // synthetic builds a plausible Result for energy-model unit tests.
-func synthetic(ixuRate float64) core.Result {
+func synthetic(ixuRate float64) engine.Result {
 	const insts = 100_000
 	var c stats.Counters
 	c.Cycles = 80_000
@@ -39,7 +39,7 @@ func synthetic(ixuRate float64) core.Result {
 	c.SQWrites = insts / 10
 	c.SQSearches = insts * 2 / 10
 	c.LQSearches = insts / 10
-	return core.Result{Counters: c}
+	return engine.Result{Counters: c}
 }
 
 func TestIQEnergyScalesWithCapacityAndPorts(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fxa/internal/config"
-	_ "fxa/internal/dualissue"
 	"fxa/internal/emu"
 	"fxa/internal/engine"
 	_ "fxa/internal/inorder"

@@ -2,7 +2,8 @@
 // cycle-level timing cores and everything that drives them. The paper
 // compares five models across two distinct timing substrates — the
 // out-of-order (optionally FXA) core of internal/core and the in-order
-// LITTLE core of internal/inorder — and before this layer existed every
+// core of internal/inorder (LITTLE, and the DUAL/DUAL-SI pair that adds
+// an INT/FP pairing rule) — and before this layer existed every
 // caller (fxa.RunTrace, internal/sampling, internal/biglittle, the cmd/
 // tools) dispatched on config.CoreKind by hand while the two cores
 // duplicated their trace-batching and deadlock-watchdog front halves.

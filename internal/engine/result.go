@@ -7,10 +7,11 @@ import (
 )
 
 // ResultSchemaVersion identifies the serialized Result layout. Version 1
-// was the untagged pre-engine core.Result; version 2 added the JSON tags,
-// the embedded schema version and the interval series. Bump it together
-// with sweep.SimVersion whenever the serialized shape changes, so cached
-// results and golden files are never misread across generations.
+// was the untagged result of the pre-engine internal/core; version 2
+// added the JSON tags, the embedded schema version and the interval
+// series. Bump it together with sweep.SimVersion whenever the serialized
+// shape changes, so cached results and golden files are never misread
+// across generations.
 const ResultSchemaVersion = 2
 
 // Result bundles everything a simulation run produces, independent of

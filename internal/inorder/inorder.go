@@ -1,10 +1,24 @@
-// Package inorder implements the cycle-level timing model of the LITTLE
-// core of Table I: a dual-issue in-order superscalar (Cortex-A53-class)
-// with a scoreboarded register file, in-order issue that stalls on RAW/WAW
-// hazards and structural conflicts, and an 8-cycle branch misprediction
-// penalty. Unlike FXA's IXU — which lets not-ready instructions flow
-// through as NOPs — an in-order pipeline stalls when the oldest
-// instruction is not ready (Section II-B of the paper).
+// Package inorder implements the cycle-level timing model of the in-order
+// cores: a dual-issue in-order superscalar with a scoreboarded register
+// file, in-order issue that stalls on RAW/WAW hazards and structural
+// conflicts, and a short branch misprediction penalty. Unlike FXA's IXU —
+// which lets not-ready instructions flow through as NOPs — an in-order
+// pipeline stalls when the oldest instruction is not ready (Section II-B
+// of the paper).
+//
+// One pipeline serves both in-order core kinds; they differ only in the
+// rule that admits an instruction to the second issue slot:
+//
+//   - config.InOrder is the LITTLE core of Table I (Cortex-A53-class):
+//     any instruction may pair.
+//   - config.DualIssueInOrder is the DUAL/DUAL-SI bracket, the
+//     pseudo-dual-issue discipline of Colagrande & Benini ("Low-Overhead
+//     Dual-Issue", arXiv:2503.20590), where an integer control core and an
+//     FP datapath each keep single-ported register files and a cycle pairs
+//     at most one instruction from each side. In the big.LITTLE landscape
+//     DUAL sits below LITTLE: a narrower machine (one FU per class) that
+//     recovers part of LITTLE's throughput only on mixed INT/FP code, at
+//     lower area and energy.
 //
 // The fetch/predict/decode path, the idle-skip machinery and the result
 // assembly are the shared stage library (internal/pipeline, DESIGN.md
@@ -26,15 +40,23 @@ import (
 	"fxa/internal/stats"
 )
 
-// issueDepth is the decode-to-issue depth beyond Model.FrontendDepth;
-// with Table I's LITTLE parameters it yields the 8-cycle misprediction
-// penalty.
+// issueDepth is the decode-to-issue depth beyond Model.FrontendDepth
+// (scoreboard read and operand fetch); with Table I's LITTLE parameters
+// it yields the 8-cycle misprediction penalty.
 const issueDepth = 2
 
 // capQ is the fetch-queue capacity (shared between fetch and the
 // next-event scan).
 func (co *Core) capQ() int {
 	return (co.cfg.FrontendDepth + issueDepth + 2) * co.cfg.FetchWidth
+}
+
+// fpDomain classifies an execution class into the floating-point domain;
+// everything else — integer ALU ops, loads, stores, branches — belongs to
+// the integer side, which also hosts address generation and control flow
+// (the paper's integer core does all memory sequencing).
+func fpDomain(cls isa.Class) bool {
+	return cls == isa.ClassFP || cls == isa.ClassFPMul || cls == isa.ClassFPDiv
 }
 
 type iuop struct {
@@ -47,9 +69,25 @@ type iuop struct {
 	mispredict bool
 }
 
+// PairStats are the pairing diagnostics: how often the second slot
+// filled, and why it did not. Deliberately not part of stats.Counters
+// (whose JSON form the goldens pin byte-exactly) — the same convention as
+// SkipStats.
+type PairStats struct {
+	// PairedCycles counts cycles that issued two instructions (on DUAL,
+	// one per domain).
+	PairedCycles int64
+	// SingleCycles counts cycles that issued exactly one instruction.
+	SingleCycles int64
+	// DomainBlocked counts second-slot rejections because the next
+	// instruction was in the same domain as the first. Always zero on
+	// LITTLE, which pairs any two instructions.
+	DomainBlocked int64
+}
+
 // Core is one in-order core simulation. It implements engine.Engine
 // (plus the Aborter and OccupancyReporter extensions) and registers
-// itself for config.InOrder from init.
+// itself for config.InOrder and config.DualIssueInOrder from init.
 type Core struct {
 	cfg config.Model
 	mem *mem.Hierarchy
@@ -76,19 +114,26 @@ type Core struct {
 	memPortsThisCycle int
 	lastDone          int64
 
-	// skip is the shared idle-cycle skipper; this core's event sources
-	// are registered at construction (events.go).
+	// skip is the shared idle-cycle skipper; the event sources registered
+	// at construction are queue-head issue and fetch.
 	skip   pipeline.Skipper
 	active bool
+
+	// pairDomains restricts the second issue slot to the opposite INT/FP
+	// domain from the first (config.DualIssueInOrder).
+	pairDomains bool
+	pair        PairStats
 }
 
-// init registers the in-order core with the engine layer, so any package
-// that (blank-)imports internal/inorder can construct it through
+// init registers the in-order core for both in-order kinds, so any
+// package that (blank-)imports internal/inorder can construct it through
 // engine.New without referring to this package's API.
 func init() {
-	engine.Register(config.InOrder, func(m config.Model, t engine.Trace) (engine.Engine, error) {
-		return New(m, t)
-	})
+	for _, k := range []config.CoreKind{config.InOrder, config.DualIssueInOrder} {
+		engine.Register(k, func(m config.Model, t engine.Trace) (engine.Engine, error) {
+			return New(m, t)
+		})
+	}
 }
 
 // New builds an in-order core simulation for model cfg fed by trace.
@@ -96,32 +141,37 @@ func New(cfg config.Model, trace engine.Trace) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Kind != config.InOrder {
+	if cfg.Kind != config.InOrder && cfg.Kind != config.DualIssueInOrder {
 		return nil, fmt.Errorf("inorder: model %s is not an in-order core", cfg.Name)
 	}
 	co := &Core{
-		cfg: cfg,
-		mem: mem.NewHierarchy(cfg.Mem),
-		bp:  bpred.New(cfg.Bpred),
-		fu:  pipeline.NewFUPools(cfg.IntFUs, cfg.MemFUs, cfg.FPFUs),
+		cfg:         cfg,
+		mem:         mem.NewHierarchy(cfg.Mem),
+		bp:          bpred.New(cfg.Bpred),
+		fu:          pipeline.NewFUPools(cfg.IntFUs, cfg.MemFUs, cfg.FPFUs),
+		pairDomains: cfg.Kind == config.DualIssueInOrder,
 	}
 	co.queue = pipeline.NewRing[iuop](co.capQ())
 	// CondBTBAlways=false: the in-order front end short-circuits the BTB
 	// lookup for taken conditionals once the direction check fails.
 	co.fe.Init(co.bp, co.mem, trace, false)
-	co.skip.Enabled = engine.IdleSkip()
-	co.registerSkipSources()
+	co.skip.Enabled = true
+	co.skip.AddSource(co.headEvents)
+	co.skip.AddSource(co.fetchEvents)
 	return co, nil
 }
 
-// SetIdleSkip overrides the process-wide engine.IdleSkip default for this
-// core (testing support for differential skip-on/skip-off runs).
+// SetIdleSkip turns idle-cycle skipping on or off for this core (testing
+// support for differential skip-on/skip-off runs).
 func (co *Core) SetIdleSkip(on bool) { co.skip.Enabled = on }
 
 // SkipStats reports how many cycles were skipped rather than iterated and
 // across how many idle spans. Deliberately not part of stats.Counters:
 // results must be bit-identical with skipping on and off.
 func (co *Core) SkipStats() (cycles, spans int64) { return co.skip.SkipStats() }
+
+// Pairing reports the pairing diagnostics collected so far.
+func (co *Core) Pairing() PairStats { return co.pair }
 
 // Run simulates to completion and returns the collected statistics. It
 // delegates to engine.Drive, so cancelling ctx interrupts the run within
@@ -215,35 +265,58 @@ func (co *Core) fetch() {
 
 // issue retires up to IssueWidth instructions per cycle strictly in
 // program order, stalling the whole pipeline on the first hazard — the
-// behaviour the paper contrasts with the IXU's flow-through NOPs.
+// behaviour the paper contrasts with the IXU's flow-through NOPs. With
+// pairDomains set, once an instruction has issued this cycle the next may
+// follow only if it belongs to the opposite INT/FP domain. The first slot
+// is never constrained, so one hazard analysis — and with it the
+// idle-skip head-event bound — covers both kinds.
 func (co *Core) issue() {
 	issued := 0
+	firstFP := false
 	for issued < co.cfg.IssueWidth && co.queue.Len() > 0 {
 		u := co.queue.Front()
 		if co.cycle < u.fetchCycle+int64(co.cfg.FrontendDepth)+issueDepth {
-			return
+			break
 		}
 		cls := u.st.Cls
 
+		// Pairing: the second slot must come from the opposite domain
+		// (in-order, so a same-domain head stalls the cycle). Slot 0
+		// either issues or stalls the cycle, so its domain can be noted
+		// before the hazard checks.
+		if co.pairDomains {
+			if fp := fpDomain(cls); issued == 0 {
+				firstFP = fp
+			} else if fp == firstFP {
+				co.pair.DomainBlocked++
+				break
+			}
+		}
+
 		// RAW: all sources ready.
+		ready := true
 		for _, r := range u.st.Srcs[:u.st.NSrc] {
 			if co.regReady[r.File][r.Index] > co.cycle {
-				return
+				ready = false
+				break
 			}
+		}
+		if !ready {
+			break
 		}
 		// WAW interlock: pending write to the destination must complete.
 		dst, hasDst := u.st.Dst, u.st.HasDst
 		if hasDst && co.regReady[dst.File][dst.Index] > co.cycle {
-			return
+			break
 		}
 		// Structural: FU availability.
 		pool := co.fu.Pool(cls)
 		fu := pipeline.FirstFree(pool, co.cycle)
 		if fu < 0 {
-			return
+			break
 		}
 		if (u.st.IsLoad || u.st.IsStore) && co.memPortsThisCycle >= co.cfg.MemFUs {
-			return
+			break
 		}
 
 		// Issue. u stays in the queue until the end of this iteration:
@@ -300,4 +373,53 @@ func (co *Core) issue() {
 		co.c.CommittedByClass[cls]++
 		co.queue.PopFront()
 	}
+	switch issued {
+	case 1:
+		co.pair.SingleCycles++
+	case 2:
+		co.pair.PairedCycles++
+	}
+}
+
+// Event sources for idle-cycle skipping (DESIGN.md §8.8, §8.9). Exactly
+// two things can happen in an in-order cycle — the queue head issues, or
+// fetch inserts — so two sources cover every transition.
+
+// headEvents: the queue head issues no earlier than the decode-to-issue
+// depth gate, every source and the destination scoreboard entry, and the
+// first functional unit in its class pool to free up. All of these are
+// finite absolute cycles. Valid as the idle-jump bound because an idle
+// cycle issued nothing, leaving slot 0 — which the pairing rule never
+// constrains — gated by exactly these conditions. (The per-cycle
+// memory-port limit needs no candidate: memPortsThisCycle > 0 implies an
+// issue happened this cycle, which marked the cycle active.)
+func (co *Core) headEvents(ev func(int64)) {
+	if co.queue.Len() == 0 {
+		return
+	}
+	u := co.queue.Front()
+	c := u.fetchCycle + int64(co.cfg.FrontendDepth) + issueDepth
+	for _, r := range u.st.Srcs[:u.st.NSrc] {
+		if rc := co.regReady[r.File][r.Index]; rc > c {
+			c = rc
+		}
+	}
+	if u.st.HasDst {
+		if rc := co.regReady[u.st.Dst.File][u.st.Dst.Index]; rc > c {
+			c = rc
+		}
+	}
+	if free := pipeline.NextFree(co.fu.Pool(u.st.Cls)); free > c {
+		c = free
+	}
+	ev(c)
+}
+
+// fetchEvents: fetch is blocked on nothing but the I-cache/redirect
+// stall, provided the queue has room (otherwise the head-issue candidate
+// covers the slot freeing) and there is anything left to fetch. A core
+// blocked on an unresolved mispredict resumes via the head-issue path
+// too.
+func (co *Core) fetchEvents(ev func(int64)) {
+	co.fe.FetchEvent(co.blocked, co.queue.Len() < co.capQ(), ev)
 }

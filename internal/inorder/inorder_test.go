@@ -6,11 +6,11 @@ import (
 
 	"fxa/internal/asm"
 	"fxa/internal/config"
-	"fxa/internal/core"
 	"fxa/internal/emu"
+	"fxa/internal/engine"
 )
 
-func runLittle(t *testing.T, src string) core.Result {
+func runLittle(t *testing.T, src string) engine.Result {
 	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {
@@ -146,6 +146,11 @@ table:	.space 32768
 }
 
 func TestLittleRejectsOoOModel(t *testing.T) {
+	for _, m := range []config.Model{config.Little(), config.Dual(), config.DualSI()} {
+		if _, err := New(m, nil); err != nil {
+			t.Errorf("inorder.New rejected in-order model %s: %v", m.Name, err)
+		}
+	}
 	if _, err := New(config.Big(), nil); err == nil {
 		t.Error("inorder.New must reject out-of-order models")
 	}

@@ -1,4 +1,4 @@
-package dualissue
+package inorder
 
 import (
 	"context"
@@ -98,12 +98,23 @@ func TestPairingRejectsSameDomain(t *testing.T) {
 	}
 }
 
-// TestKindChecked pins construction: New refuses models of other kinds,
-// and Validate bounds the issue width at the pairing policy's two slots.
-func TestKindChecked(t *testing.T) {
-	if _, err := New(config.Little(), nil); err == nil {
-		t.Error("New accepted an in-order model")
+// TestLittlePairsAnyDomain pins LITTLE's slot-1 rule: independent integer
+// ops fill both slots, and no pairing is ever refused on domain.
+func TestLittlePairsAnyDomain(t *testing.T) {
+	co, _ := run(t, config.Little(), ilpKernel)
+	p := co.Pairing()
+	if p.PairedCycles == 0 {
+		t.Errorf("LITTLE never paired on independent integer code: %+v", p)
 	}
+	if p.DomainBlocked != 0 {
+		t.Errorf("LITTLE refused %d pairings on domain", p.DomainBlocked)
+	}
+}
+
+// TestKindChecked pins construction: Validate bounds the issue width at
+// the pairing policy's two slots (TestLittleRejectsOoOModel covers the
+// kinds New accepts).
+func TestKindChecked(t *testing.T) {
 	m := config.Dual()
 	m.IssueWidth = 3
 	if err := m.Validate(); err == nil {

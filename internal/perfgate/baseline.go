@@ -15,13 +15,8 @@ import (
 // of silently producing a meaningless verdict.
 const SchemaVersion = 1
 
-// ErrLegacySchema marks a baseline file in the pre-perfgate ad-hoc
-// format (the hand-updated BENCH_emu.json speedup record from the
-// fast-forward work, now preserved as BENCH_ff_history.json).
-var ErrLegacySchema = errors.New("legacy pre-perfgate baseline format")
-
 // ErrSchemaVersion marks a baseline whose perfgate_schema does not match
-// SchemaVersion.
+// SchemaVersion; a file without the field has schema 0.
 var ErrSchemaVersion = errors.New("baseline schema version mismatch")
 
 // Suite is one measured benchmark suite: the sample vectors of every
@@ -37,10 +32,9 @@ type Suite struct {
 }
 
 // LoadBaseline reads and validates a baseline file. It distinguishes
-// three failure shapes so callers can give actionable guidance:
-// ErrLegacySchema (pre-perfgate ad-hoc JSON — regenerate with
-// -update-baseline), ErrSchemaVersion (stale schema generation — also
-// regenerate), and plain errors (missing file, syntax).
+// two failure shapes so callers can give actionable guidance:
+// ErrSchemaVersion (another or no schema generation — regenerate with
+// -update-baseline) and plain errors (missing file, syntax).
 func LoadBaseline(path string) (*Suite, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -48,16 +42,13 @@ func LoadBaseline(path string) (*Suite, error) {
 	}
 	// Probe the schema field before committing to the Suite shape.
 	var probe struct {
-		Schema *int `json:"perfgate_schema"`
+		Schema int `json:"perfgate_schema"`
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if probe.Schema == nil {
-		return nil, fmt.Errorf("%s: %w (regenerate with `fxabench -perfgate -update-baseline`; the historical fast-forward speedup record lives in BENCH_ff_history.json)", path, ErrLegacySchema)
-	}
-	if *probe.Schema != SchemaVersion {
-		return nil, fmt.Errorf("%s: %w (file has schema %d, this binary speaks %d; regenerate with `fxabench -perfgate -update-baseline`)", path, ErrSchemaVersion, *probe.Schema, SchemaVersion)
+	if probe.Schema != SchemaVersion {
+		return nil, fmt.Errorf("%s: %w (file has schema %d, this binary speaks %d; regenerate with `fxabench -perfgate -update-baseline`)", path, ErrSchemaVersion, probe.Schema, SchemaVersion)
 	}
 	var s Suite
 	if err := json.Unmarshal(data, &s); err != nil {

@@ -43,15 +43,22 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadBaselineRejectsLegacyFormat: a file without perfgate_schema
+// (the pre-perfgate ad-hoc shape) is schema 0, so it fails the version
+// check and carries the migration path.
 func TestLoadBaselineRejectsLegacyFormat(t *testing.T) {
-	_, err := LoadBaseline(filepath.Join("testdata", "legacy_BENCH_emu.json"))
-	if !errors.Is(err, ErrLegacySchema) {
-		t.Fatalf("err = %v, want ErrLegacySchema", err)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_emu.json")
+	if err := os.WriteFile(path, []byte(`{"geomean_speedup": {"all_29": 5.17}, "workloads": [{"workload": "mcf", "speedup": 3.69}]}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// The error must carry the migration path.
-	for _, want := range []string{"-update-baseline", "BENCH_ff_history.json"} {
+	_, err := LoadBaseline(path)
+	if !errors.Is(err, ErrSchemaVersion) {
+		t.Fatalf("err = %v, want ErrSchemaVersion", err)
+	}
+	for _, want := range []string{"schema 0", "-update-baseline"} {
 		if !strings.Contains(err.Error(), want) {
-			t.Errorf("legacy error %q missing guidance %q", err, want)
+			t.Errorf("legacy error %q missing %q", err, want)
 		}
 	}
 }

@@ -13,7 +13,7 @@
 //   - run.go: execute a suite as a `go test` subprocess with -count
 //     repetitions, teeing the raw output for CI artifacts.
 //   - baseline.go: the schema-versioned JSON baseline format, with
-//     legacy-format detection and a refresh path.
+//     stale-schema rejection and a refresh path.
 //   - gate.go: the statistical comparison and verdicts, rendered as a
 //     regression table through internal/report.
 package perfgate

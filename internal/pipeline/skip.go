@@ -28,8 +28,8 @@ import "fxa/internal/engine"
 // Skipper folds registered event sources into idle jumps and tracks the
 // skip diagnostics.
 type Skipper struct {
-	// Enabled selects skipping; cores seed it from engine.IdleSkip() and
-	// expose SetIdleSkip to override per instance. Both settings produce
+	// Enabled selects skipping; cores turn it on at construction and
+	// expose SetIdleSkip to change it per instance. Both settings produce
 	// bit-identical results — the knob exists for the differential suite
 	// and debugging, not fidelity.
 	Enabled bool

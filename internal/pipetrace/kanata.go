@@ -1,5 +1,5 @@
 // Package pipetrace implements engine.Probe writers (the pipeline-event
-// observer interface of the engine layer; core.PipeTracer is its alias).
+// observer interface of the engine layer).
 // The primary implementation emits the Kanata log format consumed by the Konata
 // pipeline visualizer (https://github.com/shioyadan/Konata), written by
 // the paper's first author — load the output in Konata to watch

@@ -9,9 +9,10 @@ import (
 	"fxa/internal/config"
 	"fxa/internal/core"
 	"fxa/internal/emu"
+	"fxa/internal/engine"
 )
 
-func runTraced(t *testing.T, m config.Model, src string) (string, core.Result) {
+func runTraced(t *testing.T, m config.Model, src string) (string, engine.Result) {
 	t.Helper()
 	prog, err := asm.Assemble(src)
 	if err != nil {
@@ -23,7 +24,7 @@ func runTraced(t *testing.T, m config.Model, src string) (string, core.Result) {
 	}
 	var sb strings.Builder
 	k := NewKanata(&sb)
-	co.SetTracer(k)
+	co.SetProbe(k)
 	res, err := co.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +178,7 @@ func TestTextDiagram(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := NewText(16)
-	co.SetTracer(tx)
+	co.SetProbe(tx)
 	if _, err := co.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ loop:	addi r9, r9, -1
 		t.Fatal(err)
 	}
 	tx := NewText(8)
-	co.SetTracer(tx)
+	co.SetProbe(tx)
 	if _, err := co.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -74,8 +74,8 @@ func refIPC(t *testing.T, m config.Model, w workload.Params, span uint64) float6
 // mix of warmed schedules, the sampled confidence interval on IPC —
 // widened by a small relative tolerance — covers the full-detailed-run
 // IPC of the identical instruction span, for every registered core kind
-// (out-of-order via HALF+FX, in-order via LITTLE) on steady-state
-// kernels.
+// (out-of-order via HALF+FX, in-order via LITTLE, dual-issue in-order via
+// DUAL and DUAL-SI) on steady-state kernels.
 //
 // The tolerance is load-bearing and documented: the CI quantifies
 // sampling variance (which is tiny on deterministic synthetic kernels),
@@ -95,7 +95,7 @@ func TestSampledCICoversDetailedRun(t *testing.T) {
 		{6, 6_000, 10_000, 4_000},
 		{8, 5_000, 12_000, 3_000},
 	}
-	models := []config.Model{config.HalfFX(), config.Little()}
+	models := []config.Model{config.HalfFX(), config.Little(), config.Dual(), config.DualSI()}
 	kernels := []string{"hmmer", "libquantum"}
 	for _, m := range models {
 		for _, kname := range kernels {

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"fxa/internal/core"
+	"fxa/internal/engine"
 )
 
 type testFingerprint struct {
@@ -56,8 +56,8 @@ func TestKeyRejectsUnserializableFingerprint(t *testing.T) {
 
 // sampleResult builds a Result with every top-level field populated so
 // the JSON round-trip is exercised end to end.
-func sampleResult() core.Result {
-	var r core.Result
+func sampleResult() engine.Result {
+	var r engine.Result
 	r.Model = "HALF+FX"
 	r.Counters.Cycles = 123456
 	r.Counters.Committed = 300000
@@ -133,9 +133,9 @@ func TestEngineUsesCache(t *testing.T) {
 			jobs[i] = Job{
 				Label:       "cached",
 				Fingerprint: testFingerprint{"BIG", "w", uint64(i)},
-				Run: func(ctx context.Context) (core.Result, error) {
+				Run: func(ctx context.Context) (engine.Result, error) {
 					executions.Add(1)
-					var r core.Result
+					var r engine.Result
 					r.Counters.Committed = uint64(100 + i)
 					return r, nil
 				},

@@ -18,6 +18,9 @@ import (
 	"fxa/internal/config"
 	"fxa/internal/emu"
 	"fxa/internal/engine"
+
+	// Registers the out-of-order core these jobs run on.
+	_ "fxa/internal/core"
 )
 
 // endlessProg builds a program that runs ~100M iterations — hours of

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"fxa/internal/core"
+	"fxa/internal/engine"
 )
 
 // fakeJob returns a job whose Result encodes i in its counters, so
@@ -18,8 +18,8 @@ import (
 func fakeJob(i int) Job {
 	return Job{
 		Label: fmt.Sprintf("job-%d", i),
-		Run: func(ctx context.Context) (core.Result, error) {
-			var r core.Result
+		Run: func(ctx context.Context) (engine.Result, error) {
+			var r engine.Result
 			r.Model = fmt.Sprintf("job-%d", i)
 			r.Counters.Committed = uint64(1000 + i)
 			r.Counters.Cycles = uint64(10 + i)
@@ -80,7 +80,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestPanicBecomesJobError(t *testing.T) {
 	jobs := []Job{
 		fakeJob(0),
-		{Label: "boom", Run: func(ctx context.Context) (core.Result, error) {
+		{Label: "boom", Run: func(ctx context.Context) (engine.Result, error) {
 			panic("kaboom")
 		}},
 		fakeJob(2),
@@ -101,12 +101,12 @@ func TestFailFastReturnsLowestIndexedError(t *testing.T) {
 	errA := errors.New("error-a")
 	errB := errors.New("error-b")
 	jobs := []Job{
-		{Label: "slow-fail", Run: func(ctx context.Context) (core.Result, error) {
+		{Label: "slow-fail", Run: func(ctx context.Context) (engine.Result, error) {
 			time.Sleep(30 * time.Millisecond)
-			return core.Result{}, errA
+			return engine.Result{}, errA
 		}},
-		{Label: "fast-fail", Run: func(ctx context.Context) (core.Result, error) {
-			return core.Result{}, errB
+		{Label: "fast-fail", Run: func(ctx context.Context) (engine.Result, error) {
+			return engine.Result{}, errB
 		}},
 	}
 	_, _, err := Run(context.Background(), jobs, Options{Workers: 2, Errors: FailFast})
@@ -118,8 +118,8 @@ func TestFailFastReturnsLowestIndexedError(t *testing.T) {
 func TestCollectAllReportsEveryError(t *testing.T) {
 	mkFail := func(i int) Job {
 		return Job{Label: fmt.Sprintf("fail-%d", i),
-			Run: func(ctx context.Context) (core.Result, error) {
-				return core.Result{}, fmt.Errorf("failure %d", i)
+			Run: func(ctx context.Context) (engine.Result, error) {
+				return engine.Result{}, fmt.Errorf("failure %d", i)
 			}}
 	}
 	jobs := []Job{mkFail(0), fakeJob(1), mkFail(2)}
@@ -149,16 +149,16 @@ func TestCancellationDrainsPool(t *testing.T) {
 	jobs := make([]Job, n)
 	for i := range jobs {
 		jobs[i] = Job{Label: fmt.Sprintf("j%d", i),
-			Run: func(ctx context.Context) (core.Result, error) {
+			Run: func(ctx context.Context) (engine.Result, error) {
 				if started.Add(1) == 2 {
 					cancel()
 				}
 				select {
 				case <-ctx.Done():
-					return core.Result{}, ctx.Err()
+					return engine.Result{}, ctx.Err()
 				case <-time.After(5 * time.Millisecond):
 				}
-				return core.Result{}, nil
+				return engine.Result{}, nil
 			}}
 	}
 	_, stats, err := Run(ctx, jobs, Options{Workers: 2})
@@ -227,9 +227,9 @@ func TestRunRespectsPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	jobs := []Job{{Label: "never", Run: func(ctx context.Context) (core.Result, error) {
+	jobs := []Job{{Label: "never", Run: func(ctx context.Context) (engine.Result, error) {
 		ran.Add(1)
-		return core.Result{}, nil
+		return engine.Result{}, nil
 	}}}
 	_, _, err := Run(ctx, jobs, Options{})
 	if !errors.Is(err, context.Canceled) {

@@ -9,11 +9,9 @@ package fxa
 // self-modifying kernel exercises the decode-cache invalidation path under
 // both modes.
 //
-// The skip toggle is process-wide (engine.SetIdleSkip), read by cores at
-// construction; these tests flip it around the reference runs and restore
-// it, which is safe even if a parallel test constructs a core mid-flip —
-// both settings produce identical results (that is the property under
-// test), the toggle only changes simulator speed.
+// Skipping is on by default and toggled per engine instance through the
+// SetIdleSkip method every timing core exposes, so the two runs of a pair
+// share no process-wide state.
 
 import (
 	"context"
@@ -33,20 +31,23 @@ import (
 func runPair(t *testing.T, m Model, prog *asm.Program, insts uint64) {
 	t.Helper()
 	const every = 10_000
-	ctx := context.Background()
-
-	engine.SetIdleSkip(true)
-	on, err := RunTraceIntervals(ctx, m, emu.NewStream(emu.New(prog), insts), every)
-	if err != nil {
-		t.Fatal(err)
+	run := func(skip bool) Result {
+		e, err := engine.New(m, emu.NewStream(emu.New(prog), insts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := e.(interface{ SetIdleSkip(bool) })
+		if !ok {
+			t.Fatalf("%s: engine %T has no SetIdleSkip, so skip-off cannot be compared", m.Name, e)
+		}
+		s.SetIdleSkip(skip)
+		res, err := engine.Drive(context.Background(), e, engine.Options{IntervalInsts: every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-
-	engine.SetIdleSkip(false)
-	defer engine.SetIdleSkip(true)
-	off, err := RunTraceIntervals(ctx, m, emu.NewStream(emu.New(prog), insts), every)
-	if err != nil {
-		t.Fatal(err)
-	}
+	on, off := run(true), run(false)
 
 	if !reflect.DeepEqual(on, off) {
 		if !reflect.DeepEqual(on.Counters, off.Counters) {
