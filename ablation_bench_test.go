@@ -6,6 +6,7 @@ package fxa
 // paper figures; they quantify why each mechanism is in the design.
 
 import (
+	"context"
 	"testing"
 
 	"fxa/internal/bpred"
@@ -25,7 +26,7 @@ func ablRun(b *testing.B, m Model) (ipc, rate float64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := Run(m, w, n)
+		res, err := Run(context.Background(), Spec{Model: m, Workload: w, MaxInsts: n})
 		if err != nil {
 			b.Fatal(err)
 		}

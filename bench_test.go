@@ -11,6 +11,7 @@ package fxa
 // each exactly once.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -42,7 +43,7 @@ var (
 func sharedEval(b *testing.B) *Evaluation {
 	b.Helper()
 	evalOnce.Do(func() {
-		evalData, evalErr = RunEvaluation(benchInsts(), nil)
+		evalData, _, evalErr = RunEvaluation(context.Background(), 0, benchInsts(), SweepOptions{Workers: 1})
 	})
 	if evalErr != nil {
 		b.Fatal(evalErr)
@@ -150,7 +151,7 @@ var (
 
 func BenchmarkFigure11IXUConfig(b *testing.B) {
 	fig11Once.Do(func() {
-		fig11Data, fig11Err = RunFigure11(benchInsts(), nil)
+		fig11Data, _, fig11Err = RunFigure11(context.Background(), benchInsts(), SweepOptions{Workers: 1})
 	})
 	if fig11Err != nil {
 		b.Fatal(fig11Err)
@@ -174,7 +175,7 @@ var (
 func shared1213(b *testing.B) {
 	b.Helper()
 	fig1213Once.Do(func() {
-		fig12Data, fig13Data, fig1213Err = RunFigure1213(benchInsts(), nil)
+		fig12Data, fig13Data, _, fig1213Err = RunFigure1213(context.Background(), benchInsts(), SweepOptions{Workers: 1})
 	})
 	if fig1213Err != nil {
 		b.Fatal(fig1213Err)

@@ -1,6 +1,7 @@
 package fxa
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestCalibrationSweep(t *testing.T) {
 	for _, w := range Workloads() {
 		r := row{name: w.Name, fp: w.FP, ipc: map[string]float64{}, rate: map[string]float64{}, mpki: map[string]float64{}}
 		for _, m := range models {
-			res, err := Run(m, w, n)
+			res, err := Run(context.Background(), Spec{Model: m, Workload: w, MaxInsts: n})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", w.Name, m.Name, err)
 			}

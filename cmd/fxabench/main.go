@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	fxabench [-n insts] [-warmup insts] [-ffmode fast|step]
+//	fxabench [-n insts] [-warmup insts]
 //	         [-j workers] [-cache] [-cachedir dir]
 //	         [-serve-url http://host:port] [-tenant name]
 //	         [-experiment all|table1|table2|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|fig13|headline]
@@ -58,12 +58,7 @@
 // functionally (emulator only, no timing) before its detailed window — the
 // paper's skip-then-measure methodology (Section VI-A) at reduced scale.
 // The sweep summary line then reports the fast-forward volume and
-// throughput ("ff X Minst at Y Minst/s"). -ffmode selects the emulator's
-// interpreter for both the fast-forward and the detailed runs' traces:
-// "fast" (default) uses the predecoded block-stepping loops, "step" forces
-// the single-instruction reference path for the whole simulation — the
-// two are bit-identical, so "step" exists for cross-checking and
-// debugging (see DESIGN.md §8.3 and §8.12).
+// throughput ("ff X Minst at Y Minst/s").
 //
 // With -cpuprofile the whole invocation is profiled; with -memprofile an
 // allocation profile ("allocs", cumulative since process start) is written
@@ -172,7 +167,6 @@ func printModels(w io.Writer) {
 func main() {
 	n := flag.Uint64("n", 300_000, "dynamic instructions per benchmark run")
 	warmup := flag.Uint64("warmup", 0, "functional fast-forward instructions before each main-sweep run")
-	ffmode := flag.String("ffmode", "fast", "emulator interpreter for fast-forward and traces: fast (predecoded blocks) or step (reference)")
 	exp := flag.String("experiment", "all", "which experiment to run ("+strings.Join(validExperiments, ", ")+")")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	format := flag.String("format", "text", "output format: "+strings.Join(validFormats, ", "))
@@ -236,14 +230,6 @@ func main() {
 		fatal(fmt.Errorf("-threshold %v out of range: must be in (1, 10] (it is a worseness ratio; 1.10 gates 10%% regressions)", *gateThreshold))
 	} else if *gateCount < 2 && !*gateUpdate {
 		fatal(fmt.Errorf("-count %d too small: the significance test needs at least 2 repetitions (default 5)", *gateCount))
-	}
-	switch *ffmode {
-	case "fast":
-		fxa.SetFFMode(fxa.FFFast)
-	case "step":
-		fxa.SetFFMode(fxa.FFStep)
-	default:
-		fatal(fmt.Errorf("unknown ffmode %q (valid: fast, step)", *ffmode))
 	}
 
 	if *cpuprofile != "" {
@@ -405,7 +391,7 @@ func main() {
 		} else {
 			var err error
 			var stats fxa.SweepStats
-			ev, stats, err = fxa.RunEvaluationSweepWarm(ctx, *warmup, *n, progressOpts("main sweep"))
+			ev, stats, err = fxa.RunEvaluation(ctx, *warmup, *n, progressOpts("main sweep"))
 			if err != nil {
 				fatal(err)
 			}
@@ -431,7 +417,7 @@ func main() {
 	}
 	if wants("fig11") {
 		localNote("figure 11 sweep")
-		s, stats, err := fxa.RunFigure11Sweep(ctx, *n, progressOpts("figure 11 sweep"))
+		s, stats, err := fxa.RunFigure11(ctx, *n, progressOpts("figure 11 sweep"))
 		if err != nil {
 			fatal(err)
 		}
@@ -440,7 +426,7 @@ func main() {
 	}
 	if wants("fig12") || wants("fig13") {
 		localNote("figure 12/13 sweep")
-		f12, f13, stats, err := fxa.RunFigure1213Sweep(ctx, *n, progressOpts("figure 12/13 sweep"))
+		f12, f13, stats, err := fxa.RunFigure1213(ctx, *n, progressOpts("figure 12/13 sweep"))
 		if err != nil {
 			fatal(err)
 		}
@@ -635,7 +621,7 @@ func runSample(modelName, workloadName string, cfg fxa.SamplingConfig, format st
 	if err != nil {
 		return err
 	}
-	sum, err := fxa.SampleContext(context.Background(), m, w, cfg)
+	sum, err := fxa.Sample(context.Background(), m, w, cfg)
 	if err != nil {
 		return fmt.Errorf("sampling %s on %s: %w", w.Name, m.Name, err)
 	}
@@ -670,16 +656,9 @@ func runIntervals(modelName, workloadName string, n, warmup, every uint64, forma
 	if err != nil {
 		return err
 	}
-	trace, err := w.NewTraceWarm(warmup, n)
+	res, err := fxa.Run(context.Background(), fxa.Spec{Model: m, Workload: w, Warmup: warmup, MaxInsts: n, IntervalInsts: every})
 	if err != nil {
 		return err
-	}
-	res, err := fxa.RunTraceIntervals(context.Background(), m, trace, every)
-	if err != nil {
-		return fmt.Errorf("%s on %s: %w", m.Name, w.Name, err)
-	}
-	if terr := trace.Err(); terr != nil {
-		return fmt.Errorf("%s trace: %w", w.Name, terr)
 	}
 	switch format {
 	case "json":

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -55,7 +56,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := fxa.RunTrace(m, emu.NewStream(emu.New(prog), *n))
+	res, err := fxa.Run(context.Background(), fxa.Spec{Model: m, Trace: emu.NewStream(emu.New(prog), *n)})
 	if err != nil {
 		fatal(err)
 	}

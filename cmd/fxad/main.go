@@ -27,7 +27,8 @@
 //
 // The API (see internal/serve):
 //
-//	POST   /v1/jobs        submit a job; 202 + {"id": ...}, 429 when full
+//	POST   /v1/jobs        submit a job; 202 + {"id": ...}, 429 when full,
+//	                       413 for a body over 1 MiB
 //	GET    /v1/jobs/{id}   NDJSON event stream (replays on re-attach)
 //	DELETE /v1/jobs/{id}   cancel a queued or in-flight job
 //	GET    /v1/stats       queue, cache, and per-tenant counters
@@ -274,7 +275,7 @@ func run(addr string, workers int, cacheDir string, noCache bool, queueCap, reta
 		cache.SetFallback(serve.CacheFallback(self, peersFn, nil, 0))
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -302,6 +303,14 @@ func run(addr string, workers int, cacheDir string, noCache bool, queueCap, reta
 	return nil
 }
 
+// newHTTPServer is the http.Server both daemon modes serve h on. A client
+// gets 10s to send its request headers, and an idle keep-alive connection
+// closes after 2 minutes. There is no read or write timeout: an event
+// stream stays open for its job's whole run.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
+
 // runRouter serves router mode: no worker pool, no cache — placement,
 // proxying, health, failover (see internal/serve/router.go).
 func runRouter(addr string, shards []string, retain int, drain time.Duration, probe serve.ProbeConfig) error {
@@ -323,7 +332,7 @@ func runRouter(addr string, shards []string, retain int, drain time.Duration, pr
 	fmt.Printf("fxad: listening on %s\n", ln.Addr())
 	fmt.Fprintf(os.Stderr, "fxad: routing over %d shards\n", len(shards))
 
-	httpSrv := &http.Server{Handler: rt.Handler()}
+	httpSrv := newHTTPServer(rt.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

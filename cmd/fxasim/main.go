@@ -23,6 +23,7 @@ import (
 	"fxa/internal/config"
 	"fxa/internal/core"
 	"fxa/internal/emu"
+	"fxa/internal/engine"
 	"fxa/internal/isa"
 	"fxa/internal/pipetrace"
 )
@@ -78,56 +79,56 @@ func main() {
 		return
 	}
 
+	if (*pipeview > 0 || *kanata != "") && m.Kind != config.OutOfOrder {
+		fatal(fmt.Errorf("-pipeview and -kanata require an out-of-order model"))
+	}
 	var res fxa.Result
-	if *pipeview > 0 {
-		if m.Kind != config.OutOfOrder {
-			fatal(fmt.Errorf("-pipeview requires an out-of-order model"))
-		}
-		co, err := core.New(m, stream)
-		if err != nil {
-			fatal(err)
-		}
+	switch {
+	case *pipeview > 0:
 		tx := pipetrace.NewText(*pipeview)
-		co.SetProbe(tx)
-		res, err = co.Run(context.Background())
+		res, err = runProbed(m, stream, tx)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(tx)
 		fmt.Println()
-		printResult(m, res)
-		return
-	}
-	if *kanata != "" {
-		if m.Kind != config.OutOfOrder {
-			fatal(fmt.Errorf("-kanata requires an out-of-order model"))
-		}
+	case *kanata != "":
 		f, err := os.Create(*kanata)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
 		k := pipetrace.NewKanata(f)
-		co, err := core.New(m, stream)
-		if err != nil {
-			fatal(err)
-		}
-		co.SetProbe(k)
-		res, err = co.Run(context.Background())
-		if err != nil {
+		if res, err = runProbed(m, stream, k); err != nil {
 			fatal(err)
 		}
 		if err := k.Close(); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote Kanata trace to %s\n\n", *kanata)
-	} else {
-		res, err = fxa.RunTrace(m, stream)
+	default:
+		res, err = fxa.Run(context.Background(), fxa.Spec{Model: m, Trace: stream})
 		if err != nil {
 			fatal(err)
 		}
 	}
 	printResult(m, res)
+}
+
+// runProbed simulates stream on the out-of-order core with probe
+// attached. fxa.Run takes no probe, so this drives the core itself and
+// checks the stream for an emulator fault as engine.Run does.
+func runProbed(m fxa.Model, stream *emu.Stream, probe engine.Probe) (fxa.Result, error) {
+	co, err := core.New(m, stream)
+	if err != nil {
+		return fxa.Result{}, err
+	}
+	co.SetProbe(probe)
+	res, err := co.Run(context.Background())
+	if err == nil {
+		err = stream.Err()
+	}
+	return res, err
 }
 
 func usage() {

@@ -1,14 +1,15 @@
 package fxa
 
-// Regression test for RunCompiled's trace-error surfacing. An emulator
-// fault mid-run (here: execution reaching an undecodable word after the
-// kernel overwrites its own code) ends the trace silently from the
-// timing model's point of view — the stream just stops producing
-// records, the pipeline drains, and RunCompiled used to return the
-// truncated Result as if the kernel had finished. Run and RunWarm
-// checked trace.Err(); RunCompiled did not.
+// Regression test for trace-error surfacing on a caller-built stream. An
+// emulator fault mid-run (here: execution reaching an undecodable word
+// after the kernel overwrites its own code) ends the trace silently from
+// the timing model's point of view — the stream just stops producing
+// records and the pipeline drains. A run of a compiled kernel used to
+// return the truncated Result as if the kernel had finished; engine.Run
+// now fails it, for every caller.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -51,14 +52,15 @@ for i = 0 .. 4096 {
 }
 `, bad>>14, bad&0x3fff),
 	}
-	_, err := RunCompiled(HalfFX(), clobber, 200_000)
+	trace, err := clobber.NewTrace(200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), Spec{Model: HalfFX(), Trace: trace})
 	if err == nil {
-		t.Fatal("RunCompiled returned no error for a trace that faulted mid-run")
+		t.Fatal("Run returned no error for a trace that faulted mid-run")
 	}
 	if !strings.Contains(err.Error(), "trace") {
 		t.Errorf("error %q does not attribute the failure to the trace", err)
-	}
-	if !strings.Contains(err.Error(), "clobber") {
-		t.Errorf("error %q does not name the workload", err)
 	}
 }

@@ -15,6 +15,7 @@ package fxa
 // diverges here even when its cycle counts look plausible.
 
 import (
+	"context"
 	"testing"
 
 	"fxa/internal/emu"
@@ -38,7 +39,7 @@ func TestDifferentialAllModels(t *testing.T) {
 			t.Run(name+"/"+m.Name, func(t *testing.T) {
 				machine := emu.New(prog)
 				stream := emu.NewStream(machine, diffInsts)
-				res, err := RunTrace(m, stream)
+				res, err := Run(context.Background(), Spec{Model: m, Trace: stream})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,7 +109,7 @@ func TestDifferentialToCompletion(t *testing.T) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			machine := emu.New(prog)
-			res, err := RunTrace(m, emu.NewStream(machine, 0))
+			res, err := Run(context.Background(), Spec{Model: m, Trace: emu.NewStream(machine, 0)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package fxa
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestEnergyCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	ev, err := RunEvaluation(120_000, nil)
+	ev, _, err := RunEvaluation(context.Background(), 0, 120_000, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

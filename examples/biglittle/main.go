@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 		}
 		rows := map[string]row{}
 		for _, m := range models {
-			res, err := fxa.Run(m, w, insts)
+			res, err := fxa.Run(context.Background(), fxa.Spec{Model: m, Workload: w, MaxInsts: insts})
 			if err != nil {
 				log.Fatal(err)
 			}

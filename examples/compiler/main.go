@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 
 	fmt.Printf("%-8s %10s %10s %10s %10s\n", "model", "cycles", "IPC", "IXU rate", "energy")
 	for _, m := range fxa.Models() {
-		res, err := fxa.RunTrace(m, emu.NewStream(emu.New(prog), 0))
+		res, err := fxa.Run(context.Background(), fxa.Spec{Model: m, Trace: emu.NewStream(emu.New(prog), 0)})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 		}
 		fmt.Printf("--- %s ---\n", name)
 		fmt.Printf("%-18s %8s %10s %12s\n", "IXU config", "IPC", "IXU rate", "IPC vs BIG")
-		big, err := fxa.Run(fxa.Big(), w, insts)
+		big, err := fxa.Run(context.Background(), fxa.Spec{Model: fxa.Big(), Workload: w, MaxInsts: insts})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func main() {
 			m := fxa.HalfFX()
 			m.IXU.StageFUs = c.stages
 			m.IXU.BypassMaxDist = c.bypass
-			res, err := fxa.Run(m, w, insts)
+			res, err := fxa.Run(context.Background(), fxa.Spec{Model: m, Workload: w, MaxInsts: insts})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,16 +15,17 @@ import (
 
 func main() {
 	const insts = 300_000
+	ctx := context.Background()
 	w, err := fxa.WorkloadByName("libquantum")
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	big, err := fxa.Run(fxa.Big(), w, insts)
+	big, err := fxa.Run(ctx, fxa.Spec{Model: fxa.Big(), Workload: w, MaxInsts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}
-	halfFX, err := fxa.Run(fxa.HalfFX(), w, insts)
+	halfFX, err := fxa.Run(ctx, fxa.Spec{Model: fxa.HalfFX(), Workload: w, MaxInsts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"log"
@@ -78,7 +79,7 @@ func main() {
 
 	fmt.Println("\n== timing ==")
 	for _, m := range []fxa.Model{fxa.Big(), fxa.HalfFX()} {
-		res, err := fxa.RunTrace(m, emu.NewStream(emu.New(prog), 0))
+		res, err := fxa.Run(context.Background(), fxa.Spec{Model: m, Trace: emu.NewStream(emu.New(prog), 0)})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -83,7 +82,7 @@ func (f *ffMeter) add(insts uint64, d time.Duration) {
 // newCellTrace builds the dynamic-instruction stream for one evaluation
 // cell: warmup > 0 prepends a functional fast-forward (emulator-only, no
 // timing) to the detailed window, and ff (nil-safe) accounts its cost.
-func newCellTrace(m Model, w Workload, warmup, maxInsts uint64, ff *ffMeter) (*emu.Stream, error) {
+func newCellTrace(w Workload, warmup, maxInsts uint64, ff *ffMeter) (*emu.Stream, error) {
 	if warmup == 0 {
 		return w.NewTrace(maxInsts)
 	}
@@ -99,7 +98,7 @@ func newCellTrace(m Model, w Workload, warmup, maxInsts uint64, ff *ffMeter) (*e
 	n, err := machine.Run(warmup)
 	ff.add(n, time.Since(t0))
 	if err != nil {
-		return nil, fmt.Errorf("fxa: %s on %s: warmup: %w", m.Name, w.Name, err)
+		return nil, fmt.Errorf("warmup: %w", err)
 	}
 	limit := maxInsts
 	if limit > 0 {
@@ -109,111 +108,50 @@ func newCellTrace(m Model, w Workload, warmup, maxInsts uint64, ff *ffMeter) (*e
 }
 
 // runJob builds the sweep job for one (model, workload) evaluation cell.
+// The job's ctx reaches the engine layer, so cancelling the sweep
+// interrupts an in-flight simulation within a few thousand simulated
+// cycles instead of waiting it out.
 func runJob(m Model, w Workload, warmup, maxInsts uint64, ff *ffMeter) sweep.Job {
+	s := Spec{Model: m, Workload: w, Warmup: warmup, MaxInsts: maxInsts}
 	return sweep.Job{
 		Label:       w.Name + "/" + m.Name,
 		Fingerprint: simFingerprint{Kind: "run", Model: m, Workload: w, Warmup: warmup, MaxInsts: maxInsts},
-		Run: func(ctx context.Context) (Result, error) {
-			// The job's ctx reaches the engine layer, so cancelling the
-			// sweep interrupts an in-flight simulation within a few
-			// thousand simulated cycles instead of waiting it out.
-			trace, err := newCellTrace(m, w, warmup, maxInsts, ff)
-			if err != nil {
-				return Result{}, err
-			}
-			res, err := RunTraceContext(ctx, m, trace)
-			if err != nil {
-				return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, w.Name, err)
-			}
-			if terr := trace.Err(); terr != nil {
-				return Result{}, fmt.Errorf("fxa: %s trace: %w", w.Name, terr)
-			}
-			return res, nil
-		},
+		Run:         func(ctx context.Context) (Result, error) { return run(ctx, s, ff) },
 	}
 }
 
 // EvaluationJob returns the sweep job for one (model, workload) cell —
-// the exact job RunEvaluationSweepWarm submits, fingerprint included, so
-// an external executor (the fxad daemon) shares cache identity with
-// local sweeps: a cell simulated by the CLI is a cache hit for the
-// daemon and vice versa.
+// the exact job RunEvaluation submits, fingerprint included, so an
+// external executor (the fxad daemon) shares cache identity with local
+// sweeps: a cell simulated by the CLI is a cache hit for the daemon and
+// vice versa. Its Run is Run with Spec{Model: m, Workload: w, Warmup:
+// warmup, MaxInsts: maxInsts}; an executor that streams interval metrics
+// replaces it with a Run whose Spec adds IntervalInsts and OnInterval and
+// whose Result drops the series, which leaves the fingerprint and the
+// cached bytes unchanged.
 func EvaluationJob(m Model, w Workload, warmup, maxInsts uint64) SweepJob {
 	return runJob(m, w, warmup, maxInsts, nil)
 }
 
-// EvaluationJobIntervals is EvaluationJob with live interval streaming:
-// onInterval receives each interval as the engine layer cuts it, roughly
-// every `every` committed instructions. The returned job's Result is
-// stripped of the interval series before it is returned (and thus before
-// it is cached), so a streamed run stores and reports a Result
-// bit-identical to a plain EvaluationJob run — interval collection is
-// observation-only and the wire stream is the only consumer of the
-// series. The fingerprint is identical to EvaluationJob's for the same
-// reason: streaming does not change what the simulation computes.
-func EvaluationJobIntervals(m Model, w Workload, warmup, maxInsts, every uint64, onInterval func(Interval)) SweepJob {
-	j := runJob(m, w, warmup, maxInsts, nil)
-	j.Run = func(ctx context.Context) (Result, error) {
-		trace, err := newCellTrace(m, w, warmup, maxInsts, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		res, err := RunTraceIntervalsStream(ctx, m, trace, every, onInterval)
-		if err != nil {
-			return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, w.Name, err)
-		}
-		if terr := trace.Err(); terr != nil {
-			return Result{}, fmt.Errorf("fxa: %s trace: %w", w.Name, terr)
-		}
-		res.Intervals = nil
-		return res, nil
-	}
-	return j
-}
-
-// RunEvaluation runs all 29 proxies on all five models for maxInsts
-// dynamic instructions each and estimates energies. progress, if non-nil,
-// is called after each (workload, model) run.
+// RunEvaluation runs the full Section VI evaluation matrix — all 29
+// proxies on all five models, maxInsts detailed instructions each, with
+// energies — through the sweep engine: every (workload, model) cell is an
+// independent job executed on a bounded worker pool, optionally answered
+// from the result cache. Rows are assembled in catalog order regardless
+// of completion order, so the evaluation is deterministic for any worker
+// count.
 //
-// RunEvaluation is the serial-compatible wrapper; RunEvaluationSweep is
-// the full engine entry point with parallelism, caching, cancellation
-// and run statistics. The two produce bit-identical evaluations.
-func RunEvaluation(maxInsts uint64, progress func(workload, model string)) (*Evaluation, error) {
-	opts := SweepOptions{Workers: 1}
-	if progress != nil {
-		opts.OnEvent = func(e sweep.Event) {
-			if e.Kind == sweep.EventDone && e.Err == nil {
-				w, m, _ := strings.Cut(e.Label, "/")
-				progress(w, m)
-			}
-		}
-	}
-	ev, _, err := RunEvaluationSweep(context.Background(), maxInsts, opts)
-	return ev, err
-}
-
-// RunEvaluationSweep runs the full Section VI evaluation matrix through
-// the sweep engine: every (workload, model) cell is an independent job
-// executed on a bounded worker pool, optionally answered from the result
-// cache. Rows are assembled in catalog order regardless of completion
-// order, so the evaluation is deterministic for any worker count.
-func RunEvaluationSweep(ctx context.Context, maxInsts uint64, opts SweepOptions) (*Evaluation, SweepStats, error) {
-	return RunEvaluationSweepWarm(ctx, 0, maxInsts, opts)
-}
-
-// RunEvaluationSweepWarm is RunEvaluationSweep with a per-cell functional
-// fast-forward of warmup instructions before each detailed window — the
-// paper's skip-then-measure methodology (Section VI-A) scaled down. The
-// fast-forward runs on the emulator's fast path and its aggregate cost is
-// reported in the returned SweepStats (FFInsts/FFTime), so the stats line
-// shows how much of the wall clock went to functional skipping.
-func RunEvaluationSweepWarm(ctx context.Context, warmup, maxInsts uint64, opts SweepOptions) (*Evaluation, SweepStats, error) {
-	ev := &Evaluation{MaxInsts: maxInsts, Warmup: warmup, Models: Models()}
-	ws := Workloads()
+// warmup > 0 fast-forwards each cell functionally before its detailed
+// window — the paper's skip-then-measure methodology (Section VI-A)
+// scaled down. Its aggregate cost is reported in the returned SweepStats
+// (FFInsts/FFTime), so the stats line shows how much of the wall clock
+// went to functional skipping.
+func RunEvaluation(ctx context.Context, warmup, maxInsts uint64, opts SweepOptions) (*Evaluation, SweepStats, error) {
+	ws, models := Workloads(), Models()
 	var ff ffMeter
-	jobs := make([]sweep.Job, 0, len(ws)*len(ev.Models))
+	jobs := make([]sweep.Job, 0, len(ws)*len(models))
 	for _, w := range ws {
-		for _, m := range ev.Models {
+		for _, m := range models {
 			jobs = append(jobs, runJob(m, w, warmup, maxInsts, &ff))
 		}
 	}
@@ -223,13 +161,13 @@ func RunEvaluationSweepWarm(ctx context.Context, warmup, maxInsts uint64, opts S
 	if err != nil {
 		return nil, stats, err
 	}
-	ev, err = NewEvaluation(warmup, maxInsts, results)
+	ev, err := NewEvaluation(warmup, maxInsts, results)
 	return ev, stats, err
 }
 
 // NewEvaluation assembles an Evaluation from per-cell results given in
-// Workloads() × Models() order — the order RunEvaluationSweepWarm
-// submits its jobs and the order a remote client receives them back.
+// Workloads() × Models() order — the order RunEvaluation submits its
+// jobs and the order a remote client receives them back.
 // Energies are estimated here, so a result set produced elsewhere (the
 // fxad daemon) yields an Evaluation bit-identical to a local sweep's.
 func NewEvaluation(warmup, maxInsts uint64, results []Result) (*Evaluation, error) {

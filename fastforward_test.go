@@ -11,6 +11,7 @@ package fxa
 // simulator actually ships.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -143,26 +144,60 @@ func TestTraceDifferentialProxies(t *testing.T) {
 // TestRunWarmModeInvariance: a warmed timing run must produce identical
 // results whichever interpreter the machine runs on — FFFast's block
 // loops or FFStep's Step, for the warmup fast-forward and for the
-// detailed window's trace alike.
+// detailed window's trace alike. Each machine carries its own mode.
 func TestRunWarmModeInvariance(t *testing.T) {
 	w, err := WorkloadByName("hmmer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := emu.DefaultFFMode()
-	defer emu.SetDefaultFFMode(old)
-
-	SetFFMode(FFFast)
-	fast, err := RunWarm(HalfFX(), w, 30_000, 10_000)
+	prog, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetFFMode(FFStep)
-	slow, err := RunWarm(HalfFX(), w, 30_000, 10_000)
-	if err != nil {
-		t.Fatal(err)
+	warmRun := func(mode emu.FFMode) Result {
+		m := emu.New(prog)
+		m.FF = mode
+		if _, err := m.Run(30_000); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), Spec{Model: HalfFX(), Trace: emu.NewStream(m, m.InstCount+10_000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	fast, slow := warmRun(emu.FFFast), warmRun(emu.FFStep)
 	if !reflect.DeepEqual(fast, slow) {
 		t.Fatalf("warmed run differs between fast-forward modes:\nfast: %+v\nstep: %+v", fast, slow)
+	}
+}
+
+// TestWarmupSkipsInstructions: a cell's warmup runs functionally before
+// the stream starts, and the stream then yields exactly maxInsts records.
+func TestWarmupSkipsInstructions(t *testing.T) {
+	w, err := WorkloadByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := newCellTrace(w, 5_000, 100, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, ok := tr.Next()
+	if !ok {
+		t.Fatal("empty stream after warmup")
+	}
+	if first.Seq < 5_000 {
+		t.Errorf("first record Seq = %d, want >= 5000 (warmup skipped)", first.Seq)
+	}
+	n := 1
+	for {
+		if _, ok := tr.Next(); !ok {
+			break
+		}
+		n++
+	}
+	if n != 100 {
+		t.Errorf("stream yielded %d records after warmup, want 100", n)
 	}
 }

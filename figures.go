@@ -245,31 +245,10 @@ func Figure11Configs() []IXUConfigPoint {
 // RunFigure11 sweeps the IXU FU configuration with the full and the
 // optimized (distance-2) bypass network, reporting geometric-mean IPC over
 // all benchmarks relative to the [3,3,3]/full configuration (Figure 11).
-// It is the serial-compatible wrapper around RunFigure11Sweep.
-func RunFigure11(maxInsts uint64, progress func(label string)) (*report.Series, error) {
-	s, _, err := RunFigure11Sweep(context.Background(), maxInsts, sweepOptsWithLabels(progress))
-	return s, err
-}
-
-// sweepOptsWithLabels adapts the legacy per-run label callback onto the
-// engine's serialized event stream, on a single worker for strict serial
-// ordering.
-func sweepOptsWithLabels(progress func(label string)) SweepOptions {
-	opts := SweepOptions{Workers: 1}
-	if progress != nil {
-		opts.OnEvent = func(e sweep.Event) {
-			if e.Kind == sweep.EventDone && e.Err == nil {
-				progress(e.Label)
-			}
-		}
-	}
-	return opts
-}
-
-// RunFigure11Sweep is RunFigure11 through the sweep engine: one job per
-// (IXU variant, workload) pair, executed on a bounded worker pool with
-// optional result caching, assembled deterministically in sweep order.
-func RunFigure11Sweep(ctx context.Context, maxInsts uint64, opts SweepOptions) (*report.Series, SweepStats, error) {
+// It runs one sweep job per (IXU variant, workload) pair on a bounded
+// worker pool with optional result caching, assembled deterministically
+// in sweep order.
+func RunFigure11(ctx context.Context, maxInsts uint64, opts SweepOptions) (*report.Series, SweepStats, error) {
 	s := &report.Series{
 		Title:   "Figure 11: IPC versus IXU configurations (relative to [3,3,3]/full)",
 		XLabel:  "IXU config",
@@ -325,17 +304,9 @@ func RunFigure11Sweep(ctx context.Context, maxInsts uint64, opts SweepOptions) (
 // RunFigure1213 sweeps the IXU depth from 1 to 6 stages (3 FUs per stage,
 // full bypass — the unoptimized configuration of Section VI-H2) and
 // reports, per group: the fraction of instructions executed in the IXU
-// (Figure 12) and IPC relative to BIG (Figure 13).
-// RunFigure1213 is the serial-compatible wrapper around
-// RunFigure1213Sweep.
-func RunFigure1213(maxInsts uint64, progress func(label string)) (fig12, fig13 *report.Series, err error) {
-	fig12, fig13, _, err = RunFigure1213Sweep(context.Background(), maxInsts, sweepOptsWithLabels(progress))
-	return fig12, fig13, err
-}
-
-// RunFigure1213Sweep runs the Figures 12/13 depth sweep through the sweep
-// engine: one job per (depth variant or BIG baseline, workload) pair.
-func RunFigure1213Sweep(ctx context.Context, maxInsts uint64, opts SweepOptions) (fig12, fig13 *report.Series, stats SweepStats, err error) {
+// (Figure 12) and IPC relative to BIG (Figure 13). It runs one sweep job
+// per (depth variant or BIG baseline, workload) pair.
+func RunFigure1213(ctx context.Context, maxInsts uint64, opts SweepOptions) (fig12, fig13 *report.Series, stats SweepStats, err error) {
 	fig12 = &report.Series{
 		Title:   "Figure 12: Executed instructions rate in IXU versus IXU stages",
 		XLabel:  "stages",

@@ -7,8 +7,16 @@
 // Quick start:
 //
 //	w, _ := fxa.WorkloadByName("libquantum")
-//	res, err := fxa.Run(fxa.HalfFX(), w, 300_000)
+//	res, err := fxa.Run(ctx, fxa.Spec{Model: fxa.HalfFX(), Workload: w, MaxInsts: 300_000})
 //	fmt.Println(res.Counters.IPC(), res.Counters.IXURate())
+//
+// Run is the one entry point for a single simulation; Spec's Warmup adds
+// the paper's functional skip before the measured window, Trace runs a
+// caller-built stream (an assembled program, a compiled kernel), and
+// IntervalInsts/OnInterval collect interval metrics. Sample estimates a
+// run by systematic sampling, and RunEvaluation, RunFigure11 and
+// RunFigure1213 sweep the Section VI matrix and the IXU variants on a
+// worker pool with an optional result cache.
 //
 // The five evaluation models of the paper (Section VI-B) are BIG, HALF,
 // LITTLE, BIG+FX and HALF+FX; fxa.Models() returns all of them. See
@@ -33,8 +41,8 @@ import (
 )
 
 // SweepOptions configures the simulation-orchestration engine used by
-// RunEvaluationSweep and the figure sweeps: worker-pool size, result
-// cache, error mode and the serialized progress-event callback. See
+// RunEvaluation and the figure sweeps: worker-pool size, result cache,
+// error mode and the serialized progress-event callback. See
 // internal/sweep.
 type SweepOptions = sweep.Options
 
@@ -69,24 +77,6 @@ const (
 // simulator change invalidates them.
 func OpenSweepCache(dir string) (*SweepCache, error) { return sweep.OpenCache(dir) }
 
-// FFMode selects the interpreter the emulator runs on, both for a
-// functional fast-forward and for the trace a detailed run consumes:
-// FFFast uses the predecoded block-stepping loops (the default, ~5x faster
-// for fast-forward, ~3x for traces), FFStep forces the single-instruction
-// reference path for the whole simulation. The two are bit-identical;
-// FFStep exists for differential testing and debugging.
-type FFMode = emu.FFMode
-
-// Re-exported fast-forward modes.
-const (
-	FFFast = emu.FFFast
-	FFStep = emu.FFStep
-)
-
-// SetFFMode sets the process-wide default fast-forward mode used by all
-// machines created afterwards (existing machines are unaffected).
-func SetFFMode(m FFMode) { emu.SetDefaultFFMode(m) }
-
 // Model is a processor configuration (a column of Table I).
 type Model = config.Model
 
@@ -95,7 +85,7 @@ type Workload = workload.Params
 
 // Result carries the statistics of one simulation run. It is the engine
 // layer's schema-versioned result (engine.Result): JSON-serializable, with
-// an optional per-interval metrics series (see RunTraceIntervals).
+// an optional per-interval metrics series (see Spec.IntervalInsts).
 type Result = engine.Result
 
 // Interval is one entry of a Result's interval-metrics series: the
@@ -155,26 +145,6 @@ func CompiledWorkloadByName(name string) (CompiledWorkload, error) {
 	return c, nil
 }
 
-// RunCompiled simulates maxInsts instructions (0 = to completion) of an
-// FXK kernel on model m.
-func RunCompiled(m Model, c CompiledWorkload, maxInsts uint64) (Result, error) {
-	trace, err := c.NewTrace(maxInsts)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := RunTrace(m, trace)
-	if err != nil {
-		return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, c.Name, err)
-	}
-	if terr := trace.Err(); terr != nil {
-		// A trace that faulted mid-run (emulator error) truncates silently
-		// from the timing model's point of view; surface it like Run and
-		// RunWarm do.
-		return Result{}, fmt.Errorf("fxa: %s trace: %w", c.Name, terr)
-	}
-	return res, nil
-}
-
 // WorkloadByName returns the named proxy.
 func WorkloadByName(name string) (Workload, error) {
 	p, ok := workload.ByName(name)
@@ -184,39 +154,67 @@ func WorkloadByName(name string) (Workload, error) {
 	return p, nil
 }
 
-// Run simulates maxInsts dynamic instructions of w on model m and returns
-// the collected statistics. The timing model (out-of-order internal/core
-// or in-order internal/inorder, which serves both in-order kinds) is
-// resolved through the engine registry by m.Kind.
-func Run(m Model, w Workload, maxInsts uint64) (Result, error) {
-	trace, err := w.NewTrace(maxInsts)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := RunTrace(m, trace)
-	if err != nil {
-		return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, w.Name, err)
-	}
-	if terr := trace.Err(); terr != nil {
-		return Result{}, fmt.Errorf("fxa: %s trace: %w", w.Name, terr)
-	}
-	return res, nil
+// Spec describes one simulation run. The paper's methodology is a
+// functional skip followed by a measured detailed window (Section VI-A
+// skips 4G instructions and measures 100M); Warmup and MaxInsts are those
+// two lengths.
+type Spec struct {
+	// Model is the processor configuration; its Kind selects the timing
+	// core through the engine registry.
+	Model Model
+
+	// Workload is the proxy to run when Trace is nil: Warmup
+	// instructions execute functionally (no timing), then at most
+	// MaxInsts in detail. With Trace set, Warmup and MaxInsts are
+	// ignored and Workload only names the run in errors.
+	Workload Workload
+	Warmup   uint64
+	MaxInsts uint64
+
+	// Trace, if non-nil, is the stream to simulate instead: an assembled
+	// program (emu.NewStream(emu.New(prog), n)) or a compiled kernel
+	// (CompiledWorkload.NewTrace(n)).
+	Trace *emu.Stream
+
+	// IntervalInsts > 0 attaches an interval series to the Result
+	// (Result.Intervals): counter deltas cut roughly every IntervalInsts
+	// committed instructions, partitioning the run exactly. OnInterval,
+	// if non-nil, also receives each interval as it is cut, tail
+	// included, on the simulating goroutine, so a server can stream the
+	// series while the run is in flight.
+	IntervalInsts uint64
+	OnInterval    func(Interval)
 }
 
-// RunWarm is Run with a functional warmup: the first warmup instructions
-// execute only on the emulator (no timing), mirroring the paper's
-// 4G-instruction skip before its 100M-instruction measurement window.
-func RunWarm(m Model, w Workload, warmup, maxInsts uint64) (Result, error) {
-	trace, err := w.NewTraceWarm(warmup, maxInsts)
-	if err != nil {
-		return Result{}, err
+// Run simulates s and returns the collected statistics. The timing model
+// (out-of-order internal/core or in-order internal/inorder, which serves
+// both in-order kinds) is resolved through the engine registry by
+// s.Model.Kind. Cancelling ctx interrupts the simulation within a few
+// thousand simulated cycles and returns ctx's error. A stream that faults
+// mid-run (an emulator error) fails the run rather than returning a short
+// Result. Errors name the model, and the workload when it has a name.
+func Run(ctx context.Context, s Spec) (Result, error) {
+	return run(ctx, s, nil)
+}
+
+// run is Run with ff (nil-safe) accounting the warmup's fast-forward: the
+// path every sweep job takes.
+func run(ctx context.Context, s Spec, ff *ffMeter) (Result, error) {
+	trace := s.Trace
+	var err error
+	if trace == nil {
+		trace, err = newCellTrace(s.Workload, s.Warmup, s.MaxInsts, ff)
 	}
-	res, err := RunTrace(m, trace)
-	if err != nil {
-		return Result{}, fmt.Errorf("fxa: %s on %s: %w", m.Name, w.Name, err)
+	var res Result
+	if err == nil {
+		res, err = engine.Run(ctx, s.Model, trace, engine.Options{IntervalInsts: s.IntervalInsts, OnInterval: s.OnInterval})
 	}
-	if terr := trace.Err(); terr != nil {
-		return Result{}, fmt.Errorf("fxa: %s trace: %w", w.Name, terr)
+	if err != nil {
+		name := s.Model.Name
+		if s.Workload.Name != "" {
+			name += " on " + s.Workload.Name
+		}
+		return Result{}, fmt.Errorf("fxa: %s: %w", name, err)
 	}
 	return res, nil
 }
@@ -234,54 +232,8 @@ type SamplingSummary = sampling.Summary
 // Sample estimates w's behaviour on m with systematic sampling: detailed
 // windows separated by functional fast-forwards, far cheaper than one
 // long detailed run, with per-metric confidence intervals as the accuracy
-// signal.
-func Sample(m Model, w Workload, cfg SamplingConfig) (SamplingSummary, error) {
-	return SampleContext(context.Background(), m, w, cfg)
-}
-
-// SampleContext is Sample under a context: cancelling ctx interrupts both
-// the functional fast-forward and the in-flight detailed windows promptly.
-func SampleContext(ctx context.Context, m Model, w Workload, cfg SamplingConfig) (SamplingSummary, error) {
+// signal. Cancelling ctx interrupts both the functional fast-forward and
+// the in-flight detailed windows promptly.
+func Sample(ctx context.Context, m Model, w Workload, cfg SamplingConfig) (SamplingSummary, error) {
 	return sampling.Run(ctx, m, w, cfg)
-}
-
-// RunTrace simulates an arbitrary dynamic instruction stream on model m.
-// Use this to run programs assembled with internal/asm conventions via
-// your own emulator setup. The timing model is looked up in the engine
-// registry by m.Kind — no core package is named here.
-func RunTrace(m Model, trace *emu.Stream) (Result, error) {
-	return RunTraceContext(context.Background(), m, trace)
-}
-
-// RunTraceContext is RunTrace under a context: cancelling ctx interrupts
-// the simulation within a few thousand simulated cycles and returns ctx's
-// error.
-func RunTraceContext(ctx context.Context, m Model, trace *emu.Stream) (Result, error) {
-	return engine.Run(ctx, m, trace)
-}
-
-// RunTraceIntervals is RunTraceContext with interval-metrics collection:
-// the returned Result carries a series of counter-delta snapshots cut
-// roughly every intervalInsts committed instructions (Result.Intervals).
-// The series partitions the run exactly — summing every interval's
-// counters reproduces the final counters.
-func RunTraceIntervals(ctx context.Context, m Model, trace *emu.Stream, intervalInsts uint64) (Result, error) {
-	e, err := engine.New(m, trace)
-	if err != nil {
-		return Result{}, err
-	}
-	return engine.Drive(ctx, e, engine.Options{IntervalInsts: intervalInsts})
-}
-
-// RunTraceIntervalsStream is RunTraceIntervals with a live consumer:
-// onInterval is invoked synchronously from the driving goroutine as each
-// interval is cut, including the tail interval, so a serving layer can
-// push the series over the wire while the simulation is still running.
-// The returned Result carries the same series in Result.Intervals.
-func RunTraceIntervalsStream(ctx context.Context, m Model, trace *emu.Stream, intervalInsts uint64, onInterval func(Interval)) (Result, error) {
-	e, err := engine.New(m, trace)
-	if err != nil {
-		return Result{}, err
-	}
-	return engine.Drive(ctx, e, engine.Options{IntervalInsts: intervalInsts, OnInterval: onInterval})
 }

@@ -15,6 +15,7 @@ package fxa
 //	go test -run TestGoldenResults -update .
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -91,7 +92,7 @@ func TestGoldenResults(t *testing.T) {
 		for _, m := range allKindModels(t) {
 			m := m
 			t.Run(name+"/"+m.Name, func(t *testing.T) {
-				res, err := RunTrace(m, emu.NewStream(emu.New(prog), goldenInsts))
+				res, err := Run(context.Background(), Spec{Model: m, Trace: emu.NewStream(emu.New(prog), goldenInsts)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,6 +7,7 @@ package fxa
 // assembler → emulator → timing models → statistics.
 
 import (
+	"context"
 	"testing"
 
 	"fxa/internal/emu"
@@ -288,7 +289,7 @@ func TestGoldenProgramsAllModels(t *testing.T) {
 			// Every timing model commits exactly the architectural
 			// stream.
 			for _, m := range Models() {
-				res, err := RunTrace(m, emu.NewStream(emu.New(prog), 0))
+				res, err := Run(context.Background(), Spec{Model: m, Trace: emu.NewStream(emu.New(prog), 0)})
 				if err != nil {
 					t.Fatalf("%s: %v", m.Name, err)
 				}
@@ -314,7 +315,7 @@ func TestGoldenCrossModelOrdering(t *testing.T) {
 		}
 		ipc := map[string]float64{}
 		for _, m := range Models() {
-			res, err := RunTrace(m, emu.NewStream(emu.New(prog), 0))
+			res, err := Run(context.Background(), Spec{Model: m, Trace: emu.NewStream(emu.New(prog), 0)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,7 +336,11 @@ func TestGoldenCrossModelOrdering(t *testing.T) {
 func TestCompiledSuiteIXURateBand(t *testing.T) {
 	logSum, n := 0.0, 0
 	for _, c := range CompiledWorkloads() {
-		res, err := RunCompiled(HalfFX(), c, 100_000)
+		trace, err := c.NewTrace(100_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), Spec{Model: HalfFX(), Trace: trace})
 		if err != nil {
 			t.Fatal(err)
 		}

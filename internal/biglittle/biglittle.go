@@ -14,6 +14,7 @@ package biglittle
 
 import (
 	"context"
+	"fmt"
 
 	"fxa/internal/config"
 	"fxa/internal/energy"
@@ -80,26 +81,20 @@ type Report struct {
 // Run executes the schedule on the system.
 func (s System) Run(phases []Phase) (Report, error) {
 	rep := Report{System: s}
-	dev := config.DefaultDevice()
 	for _, ph := range phases {
 		m := s.Little
 		if ph.Demand == High {
 			m = s.Big
 		}
-		trace, err := ph.Workload.NewTrace(ph.Insts)
+		res, e, err := run(context.Background(), m, ph.Workload, ph.Insts)
 		if err != nil {
 			return rep, err
 		}
-		res, err := engine.Run(context.Background(), m, trace)
-		if err != nil {
-			return rep, err
-		}
-		e := energy.Estimate(m, dev, res)
 		pr := PhaseResult{
 			Phase:  ph,
 			Core:   m.Name,
 			Cycles: res.Counters.Cycles,
-			Energy: e.Total(),
+			Energy: e,
 		}
 		rep.Phases = append(rep.Phases, pr)
 		rep.Cycles += pr.Cycles
@@ -109,6 +104,21 @@ func (s System) Run(phases []Phase) (Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// run simulates insts instructions of w on m and estimates the run's
+// total energy under the Table II device configuration.
+func run(ctx context.Context, m config.Model, w workload.Params, insts uint64) (engine.Result, float64, error) {
+	trace, err := w.NewTrace(insts)
+	if err != nil {
+		return engine.Result{}, 0, err
+	}
+	res, err := engine.Run(ctx, m, trace, engine.Options{})
+	if err != nil {
+		return engine.Result{}, 0, fmt.Errorf("biglittle: %s on %s: %w", m.Name, w.Name, err)
+	}
+	e := energy.Estimate(m, config.DefaultDevice(), res)
+	return res, e.Total(), nil
 }
 
 // ConventionalPair returns the baseline big.LITTLE system (BIG + LITTLE).

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"fxa/internal/config"
-	"fxa/internal/energy"
-	"fxa/internal/engine"
 	"fxa/internal/report"
 	"fxa/internal/workload"
 )
@@ -28,21 +26,15 @@ type LandscapePoint struct {
 // comparison: out-of-order, in-order and dual-issue in-order cores in a
 // single energy/IPC frame.
 func Landscape(ctx context.Context, w workload.Params, insts uint64) ([]LandscapePoint, error) {
-	dev := config.DefaultDevice()
 	var pts []LandscapePoint
 	for _, m := range config.AllModels() {
-		trace, err := w.NewTrace(insts)
+		res, e, err := run(ctx, m, w, insts)
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.Run(ctx, m, trace)
-		if err != nil {
-			return nil, fmt.Errorf("biglittle: %s on %s: %w", m.Name, w.Name, err)
-		}
-		e := energy.Estimate(m, dev, res)
 		pt := LandscapePoint{Model: m, Cycles: res.Counters.Cycles, IPC: res.Counters.IPC()}
 		if c := res.Counters.Committed; c > 0 {
-			pt.EPI = e.Total() / float64(c)
+			pt.EPI = e / float64(c)
 		}
 		pts = append(pts, pt)
 	}

@@ -391,21 +391,6 @@ func TestRunFastBudgetExact(t *testing.T) {
 	}
 }
 
-// TestDefaultFFMode: New picks up the package default at construction.
-func TestDefaultFFMode(t *testing.T) {
-	old := DefaultFFMode()
-	defer SetDefaultFFMode(old)
-	SetDefaultFFMode(FFStep)
-	p := asm.MustAssemble("halt")
-	if m := New(p); m.FF != FFStep {
-		t.Errorf("FF = %v, want FFStep", m.FF)
-	}
-	SetDefaultFFMode(FFFast)
-	if m := New(p); m.FF != FFFast {
-		t.Errorf("FF = %v, want FFFast", m.FF)
-	}
-}
-
 // TestStreamNextBatchSurfacesError: an execution error ends the batch
 // short and is reported by Err, matching Next's behaviour.
 func TestStreamNextBatchSurfacesError(t *testing.T) {

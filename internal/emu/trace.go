@@ -39,8 +39,8 @@ import (
 // the stronger full-buffer guarantee.)
 //
 // Records come from the block-stepping loop (tracePage), or from Step
-// when the machine is in FFStep mode, so `fxabench -ffmode step` runs a
-// whole simulation on the reference interpreter.
+// when the machine is in FFStep mode, so a machine set to FFStep feeds a
+// whole simulation from the reference interpreter.
 func (s *Stream) NextBatch(buf []Record) int {
 	m := s.M
 	n := 0

@@ -4,7 +4,7 @@
 // out-of-order (optionally FXA) core of internal/core and the in-order
 // core of internal/inorder (LITTLE, and the DUAL/DUAL-SI pair that adds
 // an INT/FP pairing rule) — and before this layer existed every
-// caller (fxa.RunTrace, internal/sampling, internal/biglittle, the cmd/
+// caller (fxa.Run, internal/sampling, internal/biglittle, the cmd/
 // tools) dispatched on config.CoreKind by hand while the two cores
 // duplicated their trace-batching and deadlock-watchdog front halves.
 //
@@ -19,6 +19,8 @@
 //   - Drive, the shared run loop: cancellation checked every CheckEvery
 //     cycles (not per cycle, so the hot loop stays allocation- and
 //     branch-clean) and optional interval-metrics collection;
+//   - Run, New then Drive then the trace-fault check: the entry point
+//     for every caller that does not attach a Probe;
 //   - the shared front-half building blocks TraceReader (batched trace
 //     consumption) and Watchdog (deadlock detection);
 //   - the schema-versioned Result/Interval types consumed by the sweep
@@ -164,14 +166,27 @@ func New(m config.Model, trace Trace) (Engine, error) {
 	return c(m, trace)
 }
 
-// Run is the one-call entry point: construct the engine for m and drive
-// it to completion under ctx.
-func Run(ctx context.Context, m config.Model, trace Trace) (Result, error) {
+// Run is the one-call entry point: construct the engine for m, drive it
+// to completion under ctx with opts, and fail the run if the trace
+// faulted. A trace that stops on an emulator error (emu.Stream) just ends
+// from the timing model's point of view, so the drained Result would pass
+// for a short run; when trace reports an Err() error, Run returns it
+// wrapped instead. This is the one place a faulted trace fails a run.
+func Run(ctx context.Context, m config.Model, trace Trace, opts Options) (Result, error) {
 	e, err := New(m, trace)
 	if err != nil {
 		return Result{}, err
 	}
-	return Drive(ctx, e, Options{})
+	res, err := Drive(ctx, e, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	if f, ok := trace.(interface{ Err() error }); ok {
+		if err := f.Err(); err != nil {
+			return Result{}, fmt.Errorf("engine: trace: %w", err)
+		}
+	}
+	return res, nil
 }
 
 // DefaultCheckEvery is the default Step slice Drive uses between

@@ -250,15 +250,7 @@ func run(ctx context.Context, m config.Model, wname string, machine *emu.Machine
 		jobs = append(jobs, sweep.Job{
 			Label: fmt.Sprintf("%s/%s window %d", wname, m.Name, i),
 			Run: func(ctx context.Context) (engine.Result, error) {
-				stream := emu.NewStream(snap, limit)
-				e, err := engine.New(m, stream)
-				var res engine.Result
-				if err == nil {
-					res, err = engine.Drive(ctx, e, engine.Options{WarmupInsts: warm})
-				}
-				if err == nil {
-					err = stream.Err()
-				}
+				res, err := engine.Run(ctx, m, emu.NewStream(snap, limit), engine.Options{WarmupInsts: warm})
 				if err != nil {
 					// The stream error names the faulting PC; add which
 					// window reached it and where that window entered.

@@ -22,7 +22,7 @@ func TestSampledEstimateMatchesLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := engine.Run(context.Background(), config.HalfFX(), trace)
+	ref, err := engine.Run(context.Background(), config.HalfFX(), trace, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func refIPC(t *testing.T, m config.Model, w workload.Params, span uint64) float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := engine.Run(context.Background(), m, trace)
+	ref, err := engine.Run(context.Background(), m, trace, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

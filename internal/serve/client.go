@@ -15,6 +15,7 @@ import (
 
 	"fxa"
 	"fxa/internal/engine"
+	"fxa/internal/sweep"
 )
 
 // Client talks to a running fxad daemon — a worker shard or a router;
@@ -329,112 +330,59 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 
 // RemoteEvaluation runs the full Section VI evaluation matrix against a
 // remote daemon: one job per (workload, model) cell in the same order a
-// local RunEvaluationSweepWarm submits them, assembled with the same
+// local RunEvaluation submits them, assembled with the same
 // NewEvaluation, so the remote evaluation is bit-identical to a local
 // one (differential-test-enforced). onDone, if non-nil, is invoked from
 // a single goroutine after each cell completes.
 //
-// Submission pipelines over `parallel` cells at a time (<= 0 means 8):
-// the client keeps that many jobs streaming while the daemon's own queue
-// and fairness decide execution order; cell results land positionally,
-// so client-side concurrency cannot reorder the evaluation.
+// Each cell is a fingerprint-less sweep job that submits and waits, run
+// by sweep.Run on `parallel` workers (<= 0 means 8): the client keeps
+// that many jobs streaming while the daemon's own queue and fairness
+// decide execution order. Results land positionally, and a failure stops
+// dispatch, lets in-flight cells finish and reports the lowest-indexed
+// error.
 func RemoteEvaluation(ctx context.Context, c *Client, warmup, maxInsts uint64, parallel int, onDone func(done, total int, label string, cached bool)) (*fxa.Evaluation, int, error) {
 	if parallel <= 0 {
 		parallel = 8
 	}
-	ws := fxa.Workloads()
-	models := fxa.Models()
-	type cell struct {
-		idx   int
-		label string
-		spec  JobSpec
-	}
-	cells := make([]cell, 0, len(ws)*len(models))
+	ws, models := fxa.Workloads(), fxa.Models()
+	jobs := make([]sweep.Job, 0, len(ws)*len(models))
+	hits := make([]bool, cap(jobs))
 	for _, w := range ws {
 		for _, m := range models {
-			cells = append(cells, cell{
-				idx:   len(cells),
-				label: w.Name + "/" + m.Name,
-				spec:  JobSpec{Model: m.Name, Workload: w.Name, Warmup: warmup, MaxInsts: maxInsts},
+			i, label := len(jobs), w.Name+"/"+m.Name
+			spec := JobSpec{Model: m.Name, Workload: w.Name, Warmup: warmup, MaxInsts: maxInsts}
+			jobs = append(jobs, sweep.Job{
+				Label: label,
+				Run: func(ctx context.Context) (fxa.Result, error) {
+					id, err := c.Submit(ctx, spec)
+					var res fxa.Result
+					if err == nil {
+						res, hits[i], err = c.Wait(ctx, id)
+					}
+					if err != nil {
+						return fxa.Result{}, fmt.Errorf("serve: remote cell %s: %w", label, err)
+					}
+					return res, nil
+				},
 			})
 		}
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]fxa.Result, len(cells))
-	hits := make([]bool, len(cells))
-	errs := make([]error, len(cells))
-	feed := make(chan cell)
-	type doneMsg struct {
-		idx    int
-		label  string
-		cached bool
-	}
-	doneCh := make(chan doneMsg)
-	go func() {
-		defer close(feed)
-		for _, cl := range cells {
-			select {
-			case feed <- cl:
-			case <-ctx.Done():
-				return
+	opts := sweep.Options{Workers: parallel}
+	if onDone != nil {
+		opts.OnEvent = func(e sweep.Event) {
+			if e.Kind == sweep.EventDone && e.Err == nil {
+				onDone(e.Done, e.Total, e.Label, hits[e.JobIndex])
 			}
 		}
-	}()
-	var workers int
-	if workers = parallel; workers > len(cells) {
-		workers = len(cells)
 	}
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		done := 0
-		for msg := range doneCh {
-			done++
-			if onDone != nil {
-				onDone(done, len(cells), msg.label, msg.cached)
-			}
-		}
-	}()
-	var wg int
-	stop := make(chan struct{})
-	workerDone := make(chan struct{})
-	for i := 0; i < workers; i++ {
-		wg++
-		go func() {
-			defer func() { workerDone <- struct{}{} }()
-			for cl := range feed {
-				id, err := c.Submit(ctx, cl.spec)
-				if err == nil {
-					results[cl.idx], hits[cl.idx], err = c.Wait(ctx, id)
-				}
-				errs[cl.idx] = err
-				if err != nil {
-					cancel() // fail fast: stop feeding new cells
-					return
-				}
-				select {
-				case doneCh <- doneMsg{idx: cl.idx, label: cl.label, cached: hits[cl.idx]}:
-				case <-stop:
-					return
-				}
-			}
-		}()
+	results, _, err := sweep.Run(ctx, jobs, opts)
+	if err != nil {
+		return nil, 0, err
 	}
-	for ; wg > 0; wg-- {
-		<-workerDone
-	}
-	close(stop)
-	close(doneCh)
-	<-finished
-
 	nhits := 0
-	for i, err := range errs {
-		if err != nil {
-			return nil, 0, fmt.Errorf("serve: remote cell %s: %w", cells[i].label, err)
-		}
-		if hits[i] {
+	for _, h := range hits {
+		if h {
 			nhits++
 		}
 	}

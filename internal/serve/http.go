@@ -10,7 +10,7 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /v1/jobs        submit a JobSpec; 202 + {id}, 429 when full
+//	POST   /v1/jobs        submit a JobSpec; 202 + {id}, 429 when full, 413 over 1 MiB
 //	GET    /v1/jobs/{id}   NDJSON event stream (replay + live until terminal)
 //	DELETE /v1/jobs/{id}   cancel a queued or in-flight job
 //	GET    /v1/stats       fabric counters (queues, cache, tenants)
@@ -57,12 +57,32 @@ func writeError(w http.ResponseWriter, code int, err error, retryAfter int) {
 	writeJSON(w, code, ErrorReply{Error: err.Error(), RetryAfter: retryAfter})
 }
 
+// maxSpecBytes caps a submitted JobSpec body. A spec is well under 1 KiB;
+// the cap stops one huge JSON string from being buffered whole.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec reads a submitted JobSpec, shared by the shard and router
+// submit handlers. It answers 413 for a body over maxSpecBytes and 400
+// for any other decode error, and reports whether spec is usable.
+func decodeSpec(w http.ResponseWriter, r *http.Request, spec *JobSpec) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(spec)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("serve: decode job spec: %w", err), 0)
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode job spec: %w", err), 0)
+	if !decodeSpec(w, r, &spec) {
 		return
 	}
 	jr, err := s.Submit(spec)
@@ -197,10 +217,7 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode job spec: %w", err), 0)
+	if !decodeSpec(w, r, &spec) {
 		return
 	}
 	rj, err := rt.Submit(spec)

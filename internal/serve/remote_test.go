@@ -2,7 +2,7 @@ package serve
 
 // Differential proof that the daemon is a transparent execution fabric:
 // results fetched over HTTP are bit-identical to local simulation, for a
-// single full evaluation matrix (RemoteEvaluation vs RunEvaluationSweep)
+// single full evaluation matrix (RemoteEvaluation vs RunEvaluation)
 // and for N concurrent tenant clients hammering an overlapping job set
 // (the ISSUE's end-to-end acceptance scenario). Identity is exact
 // (reflect.DeepEqual), which simultaneously pins the JSON wire format as
@@ -41,7 +41,7 @@ func TestRemoteEvaluationMatchesLocal(t *testing.T) {
 	if hits != 0 {
 		t.Errorf("first remote sweep reported %d cache hits on an empty cache", hits)
 	}
-	local, _, err := fxa.RunEvaluationSweep(context.Background(), remoteTestInsts, fxa.SweepOptions{Workers: 4})
+	local, _, err := fxa.RunEvaluation(context.Background(), 0, remoteTestInsts, fxa.SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,26 +318,14 @@ func (s *Server) next() *jobRec {
 func (s *Server) runJob(jr *jobRec) {
 	jr.append(Event{Event: EventStarted})
 
-	spec := &jr.spec
-	if spec.Sample != nil {
-		s.runSampleJob(jr)
-		return
-	}
-	var job fxa.SweepJob
-	if spec.IntervalInsts > 0 {
-		job = fxa.EvaluationJobIntervals(jr.model, jr.workload, spec.Warmup, spec.MaxInsts, spec.IntervalInsts,
-			func(iv fxa.Interval) {
-				jr.append(Event{Event: EventInterval, Interval: &iv})
-			})
-	} else {
-		job = fxa.EvaluationJob(jr.model, jr.workload, spec.Warmup, spec.MaxInsts)
-	}
-	if spec.NoCache {
-		job.Fingerprint = nil
-	}
-
 	t0 := time.Now()
-	res, hit, shared, err := sweep.RunOne(jr.ctx, job, s.cfg.Cache)
+	var ev Event // the terminal event if the run succeeds
+	var err error
+	if jr.spec.Sample != nil {
+		ev, err = runSample(jr)
+	} else {
+		ev, err = s.runCell(jr)
+	}
 	wall := time.Since(t0)
 
 	s.mu.Lock()
@@ -345,24 +333,22 @@ func (s *Server) runJob(jr *jobRec) {
 	s.runNanos += int64(wall)
 	s.runCount++
 	tq := s.tenantLocked(jr.tenant)
-	var ev Event
 	switch {
 	case err == nil:
 		jr.state = stateDone
 		s.completed++
 		tq.stats.Completed++
 		switch {
-		case hit:
+		case ev.CacheHit:
 			s.cacheHits++
 			tq.stats.CacheHits++
-		case shared:
+		case ev.Collapsed:
 			s.collapsed++
 			tq.stats.Collapsed++
 		default:
 			s.ran++
 			tq.stats.Ran++
 		}
-		ev = Event{Event: EventResult, Result: &res, CacheHit: hit, Collapsed: shared}
 	case jr.cancelRequested && errors.Is(err, context.Canceled):
 		jr.state = stateCancelled
 		s.cancelled++
@@ -384,51 +370,48 @@ func (s *Server) runJob(jr *jobRec) {
 	jr.append(ev)
 }
 
-// runSampleJob executes a sampled job (JobSpec.Sample, wire v2): the
-// SMARTS-style schedule runs under the job's context and the terminal
-// "result" event carries the sampling Summary instead of a Result.
-// Sampled jobs bypass the shared result cache (a Summary is not a cache
-// entry) and run their detailed windows sequentially — the job already
-// occupies one worker slot, and letting it fan out internally would let
-// one tenant's sampled job oversubscribe the fabric's pool.
-func (s *Server) runSampleJob(jr *jobRec) {
+// runCell runs an evaluation-cell job through the shared result cache
+// and returns its result event.
+func (s *Server) runCell(jr *jobRec) (Event, error) {
+	spec := &jr.spec
+	job := fxa.EvaluationJob(jr.model, jr.workload, spec.Warmup, spec.MaxInsts)
+	if spec.IntervalInsts > 0 {
+		// Stream each interval as the engine cuts it, then drop the
+		// series from the Result: the wire stream is its only consumer,
+		// and interval collection is observation-only, so the streamed
+		// run caches and reports the bytes a plain run would, under the
+		// same fingerprint.
+		job.Run = func(ctx context.Context) (fxa.Result, error) {
+			res, err := fxa.Run(ctx, fxa.Spec{
+				Model: jr.model, Workload: jr.workload, Warmup: spec.Warmup, MaxInsts: spec.MaxInsts,
+				IntervalInsts: spec.IntervalInsts,
+				OnInterval: func(iv fxa.Interval) {
+					jr.append(Event{Event: EventInterval, Interval: &iv})
+				},
+			})
+			res.Intervals = nil
+			return res, err
+		}
+	}
+	if spec.NoCache {
+		job.Fingerprint = nil
+	}
+	res, hit, shared, err := sweep.RunOne(jr.ctx, job, s.cfg.Cache)
+	return Event{Event: EventResult, Result: &res, CacheHit: hit, Collapsed: shared}, err
+}
+
+// runSample runs a sampled job (JobSpec.Sample, wire v2): the
+// SMARTS-style schedule runs under the job's context and the "result"
+// event carries the sampling Summary instead of a Result. Sampled jobs
+// bypass the shared result cache (a Summary is not a cache entry) and
+// run their detailed windows sequentially — the job already occupies one
+// worker slot, and letting it fan out internally would let one tenant's
+// sampled job oversubscribe the fabric's pool.
+func runSample(jr *jobRec) (Event, error) {
 	cfg := jr.spec.Sample.Config()
 	cfg.Workers = 1
-
-	t0 := time.Now()
-	sum, err := fxa.SampleContext(jr.ctx, jr.model, jr.workload, cfg)
-	wall := time.Since(t0)
-
-	s.mu.Lock()
-	s.running--
-	s.runNanos += int64(wall)
-	s.runCount++
-	tq := s.tenantLocked(jr.tenant)
-	var ev Event
-	switch {
-	case err == nil:
-		jr.state = stateDone
-		s.completed++
-		tq.stats.Completed++
-		s.ran++
-		tq.stats.Ran++
-		ev = Event{Event: EventResult, Summary: &sum}
-	case jr.cancelRequested && errors.Is(err, context.Canceled):
-		jr.state = stateCancelled
-		s.cancelled++
-		tq.stats.Cancelled++
-		ev = Event{Event: EventCancelled, Error: err.Error()}
-	default:
-		jr.state = stateFailed
-		s.failed++
-		tq.stats.Failed++
-		ev = Event{Event: EventError, Error: err.Error()}
-	}
-	s.retainLocked(jr)
-	s.mu.Unlock()
-
-	jr.cancel()
-	jr.append(ev)
+	sum, err := fxa.Sample(jr.ctx, jr.model, jr.workload, cfg)
+	return Event{Event: EventResult, Summary: &sum}, err
 }
 
 // Shutdown drains the fabric: no new submissions are accepted, queued

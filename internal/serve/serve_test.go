@@ -647,6 +647,39 @@ func TestSubmitValidationAndUnknownJobs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBody: a submit body over the 1 MiB cap gets
+// 413 from both a shard and a router, which stop reading at the cap, and
+// enqueues nothing.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	huge := `{"model":"HALF+FX","workload":"` + strings.Repeat("a", 2<<20) + `","max_insts":1000}`
+	post := func(url string) int {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	srv, ts, _ := newFabric(t, Config{Workers: 1})
+	if code := post(ts.URL); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("server: status %d, want 413", code)
+	}
+	if n := srv.Stats().Submitted; n != 0 {
+		t.Errorf("server enqueued %d jobs from an oversized body", n)
+	}
+	shards, rt, rc := newCluster(t, 1)
+	if code := post(rc.BaseURL); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("router: status %d, want 413", code)
+	}
+	if n := rt.Stats().Submitted; n != 0 {
+		t.Errorf("router enqueued %d jobs from an oversized body", n)
+	}
+	if n := shards[0].srv.Stats().Submitted; n != 0 {
+		t.Errorf("router forwarded %d jobs from an oversized body", n)
+	}
+}
+
 func TestHealthzReportsVersion(t *testing.T) {
 	_, _, client := newFabric(t, Config{Workers: 1, Version: "test-build-1"})
 	h, err := client.Healthz(context.Background())
@@ -715,7 +748,7 @@ func TestSampledJobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := fxa.Sample(m, w, spec.Sample.Config())
+	local, err := fxa.Sample(context.Background(), m, w, spec.Sample.Config())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestCancellationInterruptsInFlightSimulations(t *testing.T) {
 		jobs[i] = Job{
 			Label: "endless",
 			Run: func(ctx context.Context) (engine.Result, error) {
-				return engine.Run(ctx, config.HalfFX(), emu.NewStream(emu.New(prog), 0))
+				return engine.Run(ctx, config.HalfFX(), emu.NewStream(emu.New(prog), 0), engine.Options{})
 			},
 		}
 	}

@@ -132,28 +132,11 @@ func (p Params) MustBuild() *asm.Program {
 // NewTrace builds the program and returns a dynamic-instruction stream
 // capped at maxInsts records.
 func (p Params) NewTrace(maxInsts uint64) (*emu.Stream, error) {
-	return p.NewTraceWarm(0, maxInsts)
-}
-
-// NewTraceWarm fast-forwards the program functionally for warmup
-// instructions before handing the stream to a timing model — the
-// trace-driven equivalent of the paper's 4G-instruction skip (Section
-// VI-A). The stream then yields up to maxInsts records.
-func (p Params) NewTraceWarm(warmup, maxInsts uint64) (*emu.Stream, error) {
 	prog, err := p.Build()
 	if err != nil {
 		return nil, err
 	}
-	m := emu.New(prog)
-	if warmup > 0 {
-		if _, err := m.Run(warmup); err != nil {
-			return nil, err
-		}
-	}
-	if maxInsts > 0 {
-		maxInsts += m.InstCount
-	}
-	return emu.NewStream(m, maxInsts), nil
+	return emu.NewStream(emu.New(prog), maxInsts), nil
 }
 
 // rng is the deterministic xorshift64 used for table generation, seeded

@@ -258,31 +258,6 @@ func TestFootprintDrivesLocality(t *testing.T) {
 	}
 }
 
-func TestWarmupSkipsInstructions(t *testing.T) {
-	p, _ := ByName("libquantum")
-	tr, err := p.NewTraceWarm(5_000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, ok := tr.Next()
-	if !ok {
-		t.Fatal("empty stream after warmup")
-	}
-	if first.Seq < 5_000 {
-		t.Errorf("first record Seq = %d, want >= 5000 (warmup skipped)", first.Seq)
-	}
-	n := 1
-	for {
-		if _, ok := tr.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 100 {
-		t.Errorf("stream yielded %d records after warmup, want 100", n)
-	}
-}
-
 func TestCompiledCatalogRuns(t *testing.T) {
 	for _, c := range CompiledCatalog() {
 		c := c

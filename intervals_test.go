@@ -67,7 +67,7 @@ func TestIntervalInvariantMemBound(t *testing.T) {
 func checkIntervalInvariant(t *testing.T, m Model, prog *asm.Program, insts, every uint64) {
 	t.Helper()
 	trace := emu.NewStream(emu.New(prog), insts)
-	res, err := RunTraceIntervals(context.Background(), m, trace, every)
+	res, err := Run(context.Background(), Spec{Model: m, Trace: trace, IntervalInsts: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func checkIntervalInvariant(t *testing.T, m Model, prog *asm.Program, insts, eve
 	}
 
 	// (2) Observation-only: same run without collection.
-	ref, err := RunTrace(m, emu.NewStream(emu.New(prog), insts))
+	ref, err := Run(context.Background(), Spec{Model: m, Trace: emu.NewStream(emu.New(prog), insts)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ package fxa
 // the stage-library PR.
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"fxa/internal/config"
@@ -55,16 +57,21 @@ func TestRegistryCoversAllKinds(t *testing.T) {
 	}
 }
 
-// TestUnknownKindRejected pins satellite 1: a model with an undefined
-// CoreKind must fail validation (and thus construction) with an error
-// naming the known kinds.
+// TestUnknownKindRejected: a model with an undefined CoreKind must fail
+// validation, and a run of it must fail construction with the engine
+// registry's error naming the known kinds.
 func TestUnknownKindRejected(t *testing.T) {
 	m := Little()
 	m.Kind = config.CoreKind(97)
 	if err := m.Validate(); err == nil {
 		t.Fatal("Validate accepted an unknown core kind")
 	}
-	if _, err := RunTrace(m, nil); err == nil {
-		t.Fatal("RunTrace accepted an unknown core kind")
+	w, err := WorkloadByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), Spec{Model: m, Workload: w, MaxInsts: 1_000})
+	if err == nil || !strings.Contains(err.Error(), "no engine registered") {
+		t.Fatalf("err = %v, want the registry's no-engine-registered error", err)
 	}
 }

@@ -2,8 +2,9 @@
 # End-to-end smoke test of the fxad daemon: build the real binary, start
 # it on an ephemeral port with a throwaway cache, walk one job through
 # the HTTP API with curl (submit -> NDJSON stream -> result), prove that
-# resubmitting the identical job is answered from the shared cache, and
-# check that SIGTERM drains to a clean exit 0. Everything here is plain
+# resubmitting the identical job is answered from the shared cache, that
+# a 2 MiB submit body is refused with 413, and that SIGTERM drains to a
+# clean exit 0. Everything here is plain
 # POSIX sh + curl + grep, so it runs identically on a laptop and in CI
 # (`make serve-smoke`).
 set -eu
@@ -66,6 +67,19 @@ curl -fsS --max-time 120 "$BASE/v1/jobs/$JOB2" | grep -q '"cache_hit":true' ||
 	fail "resubmitted job was not served from the cache"
 
 curl -fsS "$BASE/v1/stats" | grep -q '"cache_hits":1' || fail "/v1/stats does not count the cache hit"
+
+echo "serve-smoke: oversized submit (must be refused with 413)"
+# A spec is well under 1 KiB; the daemon stops reading a submit body at
+# 1 MiB instead of buffering a huge one whole.
+{
+	printf '{"tenant":"smoke","model":"HALF+FX","workload":"'
+	head -c 2097152 /dev/zero | tr '\000' a
+	printf '","max_insts":1000}'
+} >"$WORK/huge.json"
+CODE="$(curl -sS -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+	--data-binary "@$WORK/huge.json" "$BASE/v1/jobs" 2>/dev/null || true)"
+[ "$CODE" = 413 ] || fail "a 2 MiB submit got HTTP $CODE, want 413"
+curl -fsS "$BASE/healthz" | grep -q '"status":"ok"' || fail "/healthz not ok after the oversized submit"
 
 echo "serve-smoke: SIGTERM drain"
 kill -TERM "$FXAD_PID"

@@ -158,7 +158,7 @@ func TestSkipDifferentialSelfModifying(t *testing.T) {
 
 			// Architectural sanity against the functional reference.
 			machine := emu.New(prog)
-			res, err := RunTrace(m, emu.NewStream(machine, 0))
+			res, err := Run(context.Background(), Spec{Model: m, Trace: emu.NewStream(machine, 0)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@ const parallelTestInsts = 20_000
 // evalOrFatal runs the evaluation sweep with the given options.
 func evalOrFatal(t *testing.T, opts SweepOptions) (*Evaluation, SweepStats) {
 	t.Helper()
-	ev, stats, err := RunEvaluationSweep(context.Background(), parallelTestInsts, opts)
+	ev, stats, err := RunEvaluation(context.Background(), 0, parallelTestInsts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestEvaluationCacheRoundTrip(t *testing.T) {
 	}
 
 	// A different instruction budget must not hit the same entries.
-	ev3, s3, err := RunEvaluationSweep(context.Background(), parallelTestInsts/2, SweepOptions{Workers: 4, Cache: cache})
+	ev3, s3, err := RunEvaluation(context.Background(), 0, parallelTestInsts/2, SweepOptions{Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestEvaluationCacheRoundTrip(t *testing.T) {
 func TestFigureSweepsDeterministicUnderParallelism(t *testing.T) {
 	ctx := context.Background()
 	const insts = 5_000
-	s1, _, err := RunFigure11Sweep(ctx, insts, SweepOptions{Workers: 1})
+	s1, _, err := RunFigure11(ctx, insts, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s8, _, err := RunFigure11Sweep(ctx, insts, SweepOptions{Workers: 8})
+	s8, _, err := RunFigure11(ctx, insts, SweepOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,30 +106,15 @@ func TestFigureSweepsDeterministicUnderParallelism(t *testing.T) {
 		t.Error("Figure 11 series differs between serial and parallel sweeps")
 	}
 
-	a12, a13, _, err := RunFigure1213Sweep(ctx, insts, SweepOptions{Workers: 1})
+	a12, a13, _, err := RunFigure1213(ctx, insts, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b12, b13, _, err := RunFigure1213Sweep(ctx, insts, SweepOptions{Workers: 8})
+	b12, b13, _, err := RunFigure1213(ctx, insts, SweepOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a12, b12) || !reflect.DeepEqual(a13, b13) {
 		t.Error("Figure 12/13 series differ between serial and parallel sweeps")
-	}
-}
-
-func TestRunEvaluationLegacyWrapperMatchesSweep(t *testing.T) {
-	var calls int
-	legacy, err := RunEvaluation(parallelTestInsts, func(w, m string) { calls++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep, _ := evalOrFatal(t, SweepOptions{Workers: 1})
-	if calls != len(legacy.Rows)*len(legacy.Models) {
-		t.Errorf("progress called %d times, want %d", calls, len(legacy.Rows)*len(legacy.Models))
-	}
-	if !reflect.DeepEqual(legacy.Rows, sweep.Rows) {
-		t.Error("legacy RunEvaluation differs from RunEvaluationSweep")
 	}
 }
