@@ -56,9 +56,11 @@ GO ?= go
 # fabric that multiplexes concurrent tenants onto the sweep path. The
 # shared pipeline stage library rides along because every core built on
 # it runs on sweep worker goroutines, and the consistent-hash ring is
-# read concurrently by every router pump. (The root package's
-# multi-worker determinism tests run under race in race-full.)
-RACE_PKGS = ./internal/sweep ./internal/sampling ./internal/emu ./internal/serve ./internal/pipeline ./internal/ring
+# read concurrently by every router pump. The workload package shares
+# one pointer-chase table per proxy across every goroutine that builds
+# or runs it. (The root package's multi-worker determinism tests run
+# under race in race-full.)
+RACE_PKGS = ./internal/sweep ./internal/sampling ./internal/emu ./internal/serve ./internal/pipeline ./internal/ring ./internal/workload
 
 # Perfgate knobs (override on the command line, e.g.
 # `make bench-gate PERFGATE_BENCHOUT=bench-raw.txt`).

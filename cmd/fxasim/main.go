@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -93,16 +94,7 @@ func main() {
 		fmt.Print(tx)
 		fmt.Println()
 	case *kanata != "":
-		f, err := os.Create(*kanata)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		k := pipetrace.NewKanata(f)
-		if res, err = runProbed(m, stream, k); err != nil {
-			fatal(err)
-		}
-		if err := k.Close(); err != nil {
+		if res, err = writeKanata(*kanata, m, stream); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote Kanata trace to %s\n\n", *kanata)
@@ -113,6 +105,31 @@ func main() {
 		}
 	}
 	printResult(m, res)
+}
+
+// writeKanata simulates stream on the out-of-order core and writes its
+// Kanata pipeline trace to path. A run that fails, or a trace that cannot
+// be written out, leaves no file behind: the error is returned and the
+// partial trace removed.
+func writeKanata(path string, m fxa.Model, stream *emu.Stream) (fxa.Result, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return fxa.Result{}, err
+	}
+	k := pipetrace.NewKanata(f)
+	res, err := runProbed(m, stream, k)
+	if err == nil {
+		if err = k.Close(); err != nil {
+			err = fmt.Errorf("writing %s: %w", path, err)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fxa.Result{}, errors.Join(err, os.Remove(path))
+	}
+	return res, nil
 }
 
 // runProbed simulates stream on the out-of-order core with probe

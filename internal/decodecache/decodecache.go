@@ -7,9 +7,12 @@
 // speed that is several metadata derivations per simulated instruction,
 // all of which depend only on the 8-byte decoded isa.Inst — i.e. on the
 // static instruction, not the dynamic instance. This package hoists the
-// derivation to a page-indexed table of templates (the same shape as the
-// emulator's predecode tables, internal/emu/predecode.go), so building an
-// in-flight uop becomes a template stamp plus dynamic fields.
+// derivation to a slot-indexed table of templates, so building an
+// in-flight uop becomes a template stamp plus dynamic fields. The tables
+// have the shape of the emulator's predecode tables
+// (internal/emu/predecode.go) but each covers 1 KiB of code, not a 4 KiB
+// page: a template is 48 bytes, every cell of a sweep builds its tables
+// afresh, and the largest proxy's code (992 bytes) fits in one.
 //
 // Coherence with self-modifying code needs no write hook here: every
 // lookup carries the record's authoritative Inst (the emulator already
@@ -24,9 +27,9 @@ package decodecache
 import "fxa/internal/isa"
 
 const (
-	pageBits = 12
-	pageSize = 1 << pageBits // 4 KiB, matching emu's predecode pages
-	// slotsPerPage is the number of 4-byte instruction slots per page.
+	pageBits = 10
+	pageSize = 1 << pageBits // 1 KiB of code per table
+	// slotsPerPage is the number of 4-byte instruction slots per table.
 	slotsPerPage = pageSize / 4
 )
 
@@ -98,7 +101,7 @@ func Build(in isa.Inst) Static {
 	return st
 }
 
-// page holds the templates of one 4 KiB code page.
+// page holds the templates of one 1 KiB span of code (12 KiB).
 type page struct {
 	slots [slotsPerPage]Static
 }

@@ -315,6 +315,37 @@ func TestMemoryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPageTableGrowsToUse checks the low page table's sizing: it grows to
+// reach the highest low-region page installed, never past lowKeys, and
+// keys at or above lowKeys go to the sparse map.
+func TestPageTableGrowsToUse(t *testing.T) {
+	m := NewMemory()
+	if len(m.low) != 0 {
+		t.Fatalf("empty memory has a %d-entry page table", len(m.low))
+	}
+	keys := []uint64{3, 1000, lowKeys - 1, lowKeys, lowKeys + 5}
+	for i, k := range keys {
+		m.Write64(k<<pageBits+8, uint64(i+1))
+		if want := min(k+1, lowKeys); uint64(len(m.low)) < want || len(m.low) > lowKeys {
+			t.Fatalf("after a write to key %d: %d-entry page table, want %d to %d", k, len(m.low), want, lowKeys)
+		}
+	}
+	if len(m.high) != 2 {
+		t.Errorf("sparse map holds %d pages, want 2", len(m.high))
+	}
+	c := m.Clone()
+	for i, k := range keys {
+		for _, mm := range []*Memory{m, c} {
+			if got := mm.Read64(k<<pageBits + 8); got != uint64(i+1) {
+				t.Errorf("key %d reads %d, want %d", k, got, i+1)
+			}
+		}
+	}
+	if m.Footprint() != len(keys) || c.Footprint() != len(keys) {
+		t.Errorf("footprints %d and %d, want %d", m.Footprint(), c.Footprint(), len(keys))
+	}
+}
+
 // Property: a straddling write is byte-identical to eight byte writes.
 func TestMemoryStraddle(t *testing.T) {
 	f := func(off uint8, v uint64) bool {

@@ -185,8 +185,8 @@ loop:
 			// takes the slow path, which faults in generated pages.
 			addr := ra + uint64(imm)
 			off := addr & (pageSize - 1)
-			if k := addr >> pageBits; k < lowKeys && off <= pageSize-8 {
-				if p := mem.low[k]; p != nil {
+			if k, low := addr>>pageBits, mem.low; k < uint64(len(low)) && off <= pageSize-8 {
+				if p := low[k]; p != nil {
 					v, wb = binary.LittleEndian.Uint64(p.data[off:off+8]), true
 					break
 				}
@@ -199,8 +199,8 @@ loop:
 			// predGen epilogue check (st stays false).
 			addr := ra + uint64(imm)
 			off := addr & (pageSize - 1)
-			if k := addr >> pageBits; k < lowKeys && off <= pageSize-8 {
-				if p := mem.low[k]; p != nil && p.refs.Load() == 1 && !p.code.Load() {
+			if k, low := addr>>pageBits, mem.low; k < uint64(len(low)) && off <= pageSize-8 {
+				if p := low[k]; p != nil && p.refs.Load() == 1 && !p.code.Load() {
 					binary.LittleEndian.PutUint64(p.data[off:off+8], m.R[rd])
 					break
 				}
@@ -232,8 +232,8 @@ loop:
 			// Open-coded like OpLd (see there).
 			addr := ra + uint64(imm)
 			off := addr & (pageSize - 1)
-			if k := addr >> pageBits; k < lowKeys && off <= pageSize-8 {
-				if p := mem.low[k]; p != nil {
+			if k, low := addr>>pageBits, mem.low; k < uint64(len(low)) && off <= pageSize-8 {
+				if p := low[k]; p != nil {
 					m.F[rd] = math.Float64frombits(binary.LittleEndian.Uint64(p.data[off : off+8]))
 					break
 				}
@@ -243,8 +243,8 @@ loop:
 			// Open-coded like OpSt (see there).
 			addr := ra + uint64(imm)
 			off := addr & (pageSize - 1)
-			if k := addr >> pageBits; k < lowKeys && off <= pageSize-8 {
-				if p := mem.low[k]; p != nil && p.refs.Load() == 1 && !p.code.Load() {
+			if k, low := addr>>pageBits, mem.low; k < uint64(len(low)) && off <= pageSize-8 {
+				if p := low[k]; p != nil && p.refs.Load() == 1 && !p.code.Load() {
 					binary.LittleEndian.PutUint64(p.data[off:off+8], math.Float64bits(m.F[rd]))
 					break
 				}

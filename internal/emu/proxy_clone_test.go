@@ -1,6 +1,7 @@
 package emu_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -108,5 +109,41 @@ func TestProxyClonesTraceConcurrently(t *testing.T) {
 				t.Fatalf("%s clone %d diverged from the serial trace", name, i)
 			}
 		}
+	}
+}
+
+// heapBytes returns the bytes fn allocates on the heap.
+func heapBytes(fn func()) uint64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestProxyPageTableSizedToImage checks that loading a proxy allocates a
+// page table for the pages its image spans, not for the whole low region:
+// New of mcf, whose 8 MiB data table ends at 12 MiB (3,072 page keys, a
+// 24 KiB table), and a Clone of it each allocate under 64 KiB before any
+// data page is touched. A table of all 32,768 low keys is 256 KiB.
+func TestProxyPageTableSizedToImage(t *testing.T) {
+	w, ok := workload.ByName("mcf")
+	if !ok {
+		t.Fatal("unknown workload mcf")
+	}
+	prog := w.MustBuild()
+	var m, c *emu.Machine
+	newBytes := heapBytes(func() { m = emu.New(prog) })
+	cloneBytes := heapBytes(func() { c = m.Clone() })
+	t.Logf("mcf: emu.New allocated %d bytes, Clone %d", newBytes, cloneBytes)
+	if newBytes >= 64<<10 {
+		t.Errorf("emu.New of mcf allocated %d bytes, want under 64 KiB", newBytes)
+	}
+	if cloneBytes >= 64<<10 {
+		t.Errorf("Clone of a loaded mcf allocated %d bytes, want under 64 KiB", cloneBytes)
+	}
+	if _, err := c.Run(10_000); err != nil {
+		t.Fatal(err)
 	}
 }

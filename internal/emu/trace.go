@@ -182,8 +182,8 @@ loop:
 			// Open-coded Memory.Read64 fast path, as in execPage.
 			ea = ra + uint64(imm)
 			off := ea & (pageSize - 1)
-			if k := ea >> pageBits; k < lowKeys && off <= pageSize-8 {
-				if p := mem.low[k]; p != nil {
+			if k, low := ea>>pageBits, mem.low; k < uint64(len(low)) && off <= pageSize-8 {
+				if p := low[k]; p != nil {
 					v, wb = binary.LittleEndian.Uint64(p.data[off:off+8]), true
 					break
 				}
@@ -194,8 +194,8 @@ loop:
 			// cannot fire the code-write hook, so st stays false.
 			ea = ra + uint64(imm)
 			off := ea & (pageSize - 1)
-			if k := ea >> pageBits; k < lowKeys && off <= pageSize-8 {
-				if p := mem.low[k]; p != nil && p.refs.Load() == 1 && !p.code.Load() {
+			if k, low := ea>>pageBits, mem.low; k < uint64(len(low)) && off <= pageSize-8 {
+				if p := low[k]; p != nil && p.refs.Load() == 1 && !p.code.Load() {
 					binary.LittleEndian.PutUint64(p.data[off:off+8], m.R[rd])
 					break
 				}
@@ -236,8 +236,8 @@ loop:
 			// Open-coded like OpLd.
 			ea = ra + uint64(imm)
 			off := ea & (pageSize - 1)
-			if k := ea >> pageBits; k < lowKeys && off <= pageSize-8 {
-				if p := mem.low[k]; p != nil {
+			if k, low := ea>>pageBits, mem.low; k < uint64(len(low)) && off <= pageSize-8 {
+				if p := low[k]; p != nil {
 					m.F[rd] = math.Float64frombits(binary.LittleEndian.Uint64(p.data[off : off+8]))
 					break
 				}
@@ -247,8 +247,8 @@ loop:
 			// Open-coded like OpSt.
 			ea = ra + uint64(imm)
 			off := ea & (pageSize - 1)
-			if k := ea >> pageBits; k < lowKeys && off <= pageSize-8 {
-				if p := mem.low[k]; p != nil && p.refs.Load() == 1 && !p.code.Load() {
+			if k, low := ea>>pageBits, mem.low; k < uint64(len(low)) && off <= pageSize-8 {
+				if p := low[k]; p != nil && p.refs.Load() == 1 && !p.code.Load() {
 					binary.LittleEndian.PutUint64(p.data[off:off+8], math.Float64bits(m.F[rd]))
 					break
 				}

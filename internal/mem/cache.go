@@ -6,7 +6,10 @@
 // writeback counters feed the energy model.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Replacement selects the victim-choice policy of a cache.
 type Replacement int
@@ -108,19 +111,25 @@ func (s *CacheStats) MissRate() float64 {
 	return float64(s.Misses()) / float64(a)
 }
 
+// line is one cache line's state: 24 bytes, the flags packed after the
+// two words.
 type line struct {
 	tag   uint64
+	used  uint64 // LRU timestamp
 	valid bool
 	dirty bool
-	used  uint64 // LRU timestamp
-	ref   bool   // NRU reference bit
+	ref   bool // NRU reference bit
 }
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg      CacheConfig
-	sets     [][]line
+	cfg CacheConfig
+	// lines holds every set's ways in one array: set s is
+	// lines[s*ways : (s+1)*ways].
+	lines    []line
+	ways     uint64
 	setMask  uint64
+	setBits  uint
 	lineBits uint
 	tick     uint64
 	next     Level
@@ -141,18 +150,21 @@ func NewCache(cfg CacheConfig, next Level) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, next: next}
 	sets := cfg.Sets()
-	c.sets = make([][]line, sets)
-	backing := make([]line, sets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
+	return &Cache{
+		cfg:      cfg,
+		next:     next,
+		lines:    make([]line, sets*cfg.Ways),
+		ways:     uint64(cfg.Ways),
+		setMask:  uint64(sets - 1),
+		setBits:  uint(bits.TrailingZeros(uint(sets))),
+		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 	}
-	c.setMask = uint64(sets - 1)
-	for bits := cfg.LineBytes; bits > 1; bits >>= 1 {
-		c.lineBits++
-	}
-	return c
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []line {
+	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
 // Config returns the cache geometry.
@@ -163,8 +175,8 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 func (c *Cache) Access(addr uint64, write bool) int {
 	c.tick++
 	blk := addr >> c.lineBits
-	set := c.sets[blk&c.setMask]
-	tag := blk >> popcount(c.setMask)
+	set := c.set(blk & c.setMask)
+	tag := blk >> c.setBits
 	if write {
 		c.Stats.Writes++
 	} else {
@@ -198,7 +210,7 @@ func (c *Cache) Access(addr uint64, write bool) int {
 		c.Stats.Writebacks++
 		// Write-back latency is off the critical path (buffered); count
 		// the event only.
-		c.next.Access(reconstruct(set[v].tag, blk&c.setMask, c.lineBits, popcount(c.setMask)), true)
+		c.next.Access(reconstruct(set[v].tag, blk&c.setMask, c.lineBits, c.setBits), true)
 	}
 	dirty := write && !c.cfg.WriteThrough
 	if write && c.cfg.WriteThrough {
@@ -265,8 +277,8 @@ func (c *Cache) Prefetch(addr uint64) {
 // Probe reports whether addr currently hits, without updating any state.
 func (c *Cache) Probe(addr uint64) bool {
 	blk := addr >> c.lineBits
-	set := c.sets[blk&c.setMask]
-	tag := blk >> popcount(c.setMask)
+	set := c.set(blk & c.setMask)
+	tag := blk >> c.setBits
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true
@@ -277,14 +289,6 @@ func (c *Cache) Probe(addr uint64) bool {
 
 func reconstruct(tag, setIdx uint64, lineBits, setBits uint) uint64 {
 	return (tag<<setBits | setIdx) << lineBits
-}
-
-func popcount(mask uint64) uint {
-	var n uint
-	for ; mask != 0; mask >>= 1 {
-		n += uint(mask & 1)
-	}
-	return n
 }
 
 // MainMemory is the fixed-latency DRAM model.

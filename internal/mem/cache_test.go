@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small(next Level) *Cache {
@@ -213,5 +215,28 @@ func TestWriteThrough(t *testing.T) {
 	c.Access(0x0600, false)
 	if c.Stats.Writebacks != before {
 		t.Errorf("write-through cache wrote back on eviction")
+	}
+}
+
+// TestHierarchyAllocation pins the cache arrays' layout: a line is 24
+// bytes and each cache is one flat array of them, so the Table I
+// hierarchy (9,472 lines) allocates at most 240 KiB. Lines of 32 bytes
+// and a slice header per set would take about 330 KiB.
+func TestHierarchyAllocation(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 24 {
+		t.Errorf("a cache line takes %d bytes, want 24", n)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := NewHierarchy(DefaultHierarchyConfig())
+	runtime.ReadMemStats(&after)
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewHierarchy allocated %d bytes", n)
+	if n > 240<<10 {
+		t.Errorf("NewHierarchy allocated %d bytes, want at most 240 KiB", n)
+	}
+	if lat := h.DataRead(0x1000); lat != 2+12+200 {
+		t.Errorf("cold data read took %d cycles, want %d", lat, 2+12+200)
 	}
 }

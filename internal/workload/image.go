@@ -16,8 +16,11 @@ package workload
 // boundary in at most one matrix-vector product per set bit of the block
 // index; the words within the block are then stepped as before. The
 // pointer-chase tables are a Sattolo shuffle, whose every swap depends on
-// the stream position of all the swaps before it, so Build still shuffles
-// in O(n) and keeps only the uint32 successor of each slot.
+// the stream position of all the swaps before it, so they are shuffled in
+// O(n), keeping only the uint32 successor of each slot. That table depends
+// on nothing but the proxy's name and slot count, so it is shuffled once
+// per process and shared, read-only, by every later Build of the proxy and
+// every page fill of every machine running it (chaseTableFor).
 
 import (
 	"encoding/binary"
@@ -138,6 +141,37 @@ func newChaseTable(r *rng, n int) *chaseTable {
 	return &chaseTable{next: next}
 }
 
+// chaseKey names one pointer-chase table: the proxy whose name seeds the
+// shuffle, and the table's slot count.
+type chaseKey struct {
+	name  string
+	slots int
+}
+
+// chaseTables memoizes the pointer-chase tables built so far, one per
+// distinct chaseKey (for the catalog, 5.5 MiB over mcf, omnetpp and
+// astar), each built once by its own sync.OnceValue. A table is never
+// written after its build, so any number of goroutines may fill pages
+// from it.
+var (
+	chaseMu     sync.Mutex
+	chaseTables = map[chaseKey]func() *chaseTable{}
+)
+
+// chaseTableFor returns the shared pointer-chase table of the named
+// proxy's data footprint of n slots, shuffling it on first use.
+func chaseTableFor(name string, n int) *chaseTable {
+	k := chaseKey{name, n}
+	chaseMu.Lock()
+	build, ok := chaseTables[k]
+	if !ok {
+		build = sync.OnceValue(func() *chaseTable { return newChaseTable(newRNG(name+"/data"), n) })
+		chaseTables[k] = build
+	}
+	chaseMu.Unlock()
+	return build()
+}
+
 func (t *chaseTable) fill(off uint64, dst []byte) { fillWords(off, dst, t.fillAligned) }
 
 // fillAligned fills a whole-word range.
@@ -175,11 +209,10 @@ func (p Params) branchTable() asm.Segment {
 // element).
 func (p Params) dataTable() asm.Segment {
 	seg := asm.Segment{Addr: dataBase, Size: uint64(p.Footprint)}
-	r := newRNG(p.Name + "/data")
 	if p.Chase > 0 || p.Pattern == Chase {
-		seg.Fill = newChaseTable(r, p.Footprint/8).fill
+		seg.Fill = chaseTableFor(p.Name, p.Footprint/8).fill
 	} else {
-		seg.Fill = (&randomTable{seed: *r}).fill
+		seg.Fill = (&randomTable{seed: *newRNG(p.Name + "/data")}).fill
 	}
 	return seg
 }

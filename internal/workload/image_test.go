@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"fxa/internal/asm"
+	"fxa/internal/emu"
 )
 
 // refBranchTable is the eager reference generator of the branch table:
@@ -125,4 +128,72 @@ func TestFillArbitraryRanges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRebuildSharesChaseTable checks that a proxy's pointer-chase table
+// is shuffled once per process: after one Build of mcf, a second
+// allocates under 1 MiB. Shuffling its 8 MiB footprint again would
+// allocate about 8.4 MiB (the perm and next arrays).
+func TestRebuildSharesChaseTable(t *testing.T) {
+	p, _ := ByName("mcf")
+	p.MustBuild()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.MustBuild()
+	runtime.ReadMemStats(&after)
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a second Build of mcf allocated %d bytes", n)
+	if n >= 1<<20 {
+		t.Errorf("a second Build of mcf allocated %d bytes, want under 1 MiB", n)
+	}
+}
+
+// TestConcurrentBuildsShareChaseTables builds the three pointer-chasing
+// proxies on eight goroutines at once, starting from an empty memo, and
+// has each goroutine fault random data pages through its own machine:
+// every page must read as the eager reference. Run it under
+// `go test -race -count=10` after touching the memo or the tables it
+// shares.
+func TestConcurrentBuildsShareChaseTables(t *testing.T) {
+	const goroutines, pages = 8, 16
+	var ps []Params
+	var refs [][]byte
+	for _, name := range []string{"mcf", "omnetpp", "astar"} {
+		p, _ := ByName(name)
+		ps = append(ps, p)
+		refs = append(refs, refDataTable(p))
+	}
+	// Empty the memo, so the goroutines race to shuffle each table.
+	chaseMu.Lock()
+	clear(chaseTables)
+	chaseMu.Unlock()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(g)))
+			for j := range ps {
+				i := (g + j) % len(ps) // each goroutine starts on a different proxy
+				p, ref := ps[i], refs[i]
+				prog, err := p.Build()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m := emu.New(prog)
+				for _, pg := range rnd.Perm(p.Footprint / 4096)[:pages] {
+					for off := pg * 4096; off < (pg+1)*4096; off += 8 {
+						got := m.Mem.Read64(dataBase + uint64(off))
+						if want := binary.LittleEndian.Uint64(ref[off:]); got != want {
+							t.Errorf("%s: word at data offset %#x reads %#x, want %#x", p.Name, off, got, want)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"fxa/internal/isa"
@@ -209,6 +210,13 @@ func TestDeterministicBuild(t *testing.T) {
 		if !bytes.Equal(da, db) {
 			t.Fatalf("segment %d differs between builds", i)
 		}
+	}
+	// The two builds share one memoized chase table: it must be the
+	// table a fresh shuffle from the proxy's seed produces.
+	slots := p.Footprint / 8
+	fresh := newChaseTable(newRNG(p.Name+"/data"), slots)
+	if !slices.Equal(chaseTableFor(p.Name, slots).next, fresh.next) {
+		t.Fatal("memoized chase table differs from a fresh shuffle")
 	}
 }
 
