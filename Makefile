@@ -24,7 +24,8 @@
 #   make bench-gate-full    the nightly gate: double repetitions
 #   make fuzz    run of the core's random-flush fuzzer, then of the
 #                emulator's trace-loop fuzzer, then of the serve layer's
-#                job-spec decoder fuzzer, each for FUZZTIME (30s)
+#                job-spec decoder fuzzer, then of the emulator's memory
+#                against an eager reference, each for FUZZTIME (30s)
 #   make serve-smoke  end-to-end smoke of the fxad daemon over real
 #                HTTP: build, serve, submit, stream, cache-hit, SIGTERM
 #   make cluster-smoke  multi-shard smoke of the sharded fabric: 3 worker
@@ -177,11 +178,14 @@ bench-gate-update:
 # exhaustion, RENO squash — always runs as part of `make test` via
 # TestFuzzRandomFlush), then the emulator's block trace loop against Step,
 # then raw submit bodies through fxad's job-spec decoder, validation and
-# routing key (both seed corpora run in `make test` too).
+# routing key, then sized reads, writes and clones of a demand-paged,
+# read-through memory against one made resident up front (every seed
+# corpus runs in `make test` too).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRandomFlush -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceMatchesStep$$' -fuzztime $(FUZZTIME) ./internal/emu
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzMemoryMatchesEager$$' -fuzztime $(FUZZTIME) ./internal/emu
 
 # The sampling differential-validation suite (DESIGN.md §8.7) under the
 # race detector: sampled CIs must cover full-detailed truth for every

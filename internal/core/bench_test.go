@@ -13,9 +13,10 @@ import (
 
 // benchTrace builds the named proxy and returns a stream over a freshly
 // loaded machine capped at insts records, as workload.NewTrace does. It
-// runs outside the timer, and it materialises every page of the program's
-// generated segments with one read per page, so the timed run measures
-// the timing model, not first-touch page generation.
+// runs outside the timer, and it makes every page of the program's
+// generated segments resident by storing its first byte back (a read
+// alone may leave the page absent), so the timed run measures the timing
+// model, not first-touch page generation.
 func benchTrace(b *testing.B, name string, insts uint64) *emu.Stream {
 	b.Helper()
 	w, ok := workload.ByName(name)
@@ -29,7 +30,8 @@ func benchTrace(b *testing.B, name string, insts uint64) *emu.Stream {
 	m := emu.New(prog)
 	for _, s := range prog.Segments {
 		for off := uint64(0); off < s.Size; off += 4096 {
-			m.Mem.Load8(s.Addr + off)
+			a := s.Addr + off
+			m.Mem.Store8(a, m.Mem.Load8(a))
 		}
 	}
 	return emu.NewStream(m, insts)

@@ -1,6 +1,7 @@
 package decodecache
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -134,20 +135,25 @@ func TestInvalidate(t *testing.T) {
 // TestFirstLookupAllocation pins the table size: a table covers 1 KiB of
 // code (256 templates of 48 bytes), so a fresh Cache allocates at most
 // 16 KiB for its first Lookup. A 4 KiB page of templates is 48 KiB.
+// TotalAlloc also counts other goroutines' allocations, which only add
+// bytes, so the test takes the least of several fresh Caches.
 func TestFirstLookupAllocation(t *testing.T) {
-	var c Cache
 	add := isa.Inst{Op: isa.OpAdd, Rd: 1, Ra: 2, Rb: 3}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	st := c.Lookup(0x1000, add)
-	runtime.ReadMemStats(&after)
-	n := after.TotalAlloc - before.TotalAlloc
+	n := uint64(math.MaxUint64)
+	for range 5 {
+		c := new(Cache)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st := c.Lookup(0x1000, add)
+		runtime.ReadMemStats(&after)
+		n = min(n, after.TotalAlloc-before.TotalAlloc)
+		if st.Inst != add {
+			t.Fatalf("template wrong: %+v", st)
+		}
+	}
 	t.Logf("first Lookup allocated %d bytes", n)
 	if n > 16<<10 {
 		t.Errorf("first Lookup allocated %d bytes, want at most 16 KiB", n)
-	}
-	if st.Inst != add {
-		t.Fatalf("template wrong: %+v", st)
 	}
 }

@@ -70,12 +70,14 @@ func benchFF(b *testing.B, mode emu.FFMode) {
 	}
 }
 
-// materialize faults in every page of prog's generated segments with one
-// read per page.
+// materialize makes every page of prog's generated segments resident by
+// storing its first byte back: a read alone may be served from the
+// generator and leave the page absent (DESIGN.md §8.11).
 func materialize(m *emu.Machine, prog *asm.Program) {
 	for _, s := range prog.Segments {
 		for off := uint64(0); off < s.Size; off += 4096 {
-			m.Mem.Load8(s.Addr + off)
+			a := s.Addr + off
+			m.Mem.Store8(a, m.Mem.Load8(a))
 		}
 	}
 }

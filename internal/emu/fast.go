@@ -182,7 +182,8 @@ loop:
 			// Open-coded Memory.Read64 fast path (the method body is
 			// over the inlining budget): resident low-region page, no
 			// page straddle. Everything else, an absent page included,
-			// takes the slow path, which faults in generated pages.
+			// takes the slow path, which reads generated pages through
+			// or faults them in.
 			addr := ra + uint64(imm)
 			off := addr & (pageSize - 1)
 			if k, low := addr>>pageBits, mem.low; k < uint64(len(low)) && off <= pageSize-8 {

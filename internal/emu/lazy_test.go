@@ -85,6 +85,10 @@ func tableWord(addr uint64) uint64 {
 	return v
 }
 
+// TestGeneratedPageFaultsOnFirstTouchOnly: New fills nothing; the first
+// read of a page wholly inside the table is read through (one word filled,
+// the page left absent), the next read of the same line faults the page
+// in, and later reads of it fill nothing more.
 func TestGeneratedPageFaultsOnFirstTouchOnly(t *testing.T) {
 	p, fills := withTable(t, lazyKernel)
 	m := New(p)
@@ -95,11 +99,18 @@ func TestGeneratedPageFaultsOnFirstTouchOnly(t *testing.T) {
 	if got := m.Mem.Read64(tableAddr); got != tableWord(tableAddr) {
 		t.Fatalf("Read64 = %#x, want generated %#x", got, tableWord(tableAddr))
 	}
+	if fills.Load() != 1 || m.Mem.Footprint() != base {
+		t.Fatalf("after one read of a page: %d fills, %d new pages; want 1 and 0",
+			fills.Load(), m.Mem.Footprint()-base)
+	}
 	if got := m.Mem.Load8(tableAddr + 1); got != patternByte(tableAddr+1-tableBase) {
 		t.Fatalf("Load8 = %#x, want generated %#x", got, patternByte(tableAddr+1-tableBase))
 	}
-	if fills.Load() != 1 || m.Mem.Footprint() != base+1 {
-		t.Fatalf("after two reads of one page: %d fills, %d new pages; want 1 and 1",
+	if got := m.Mem.Read64(tableAddr + 1024); got != tableWord(tableAddr+1024) {
+		t.Fatalf("Read64 = %#x, want generated %#x", got, tableWord(tableAddr+1024))
+	}
+	if fills.Load() != 2 || m.Mem.Footprint() != base+1 {
+		t.Fatalf("after three reads of one page: %d fills, %d new pages; want 2 and 1",
 			fills.Load(), m.Mem.Footprint()-base)
 	}
 }
@@ -149,7 +160,7 @@ func TestCloneFaultsGeneratedPagesIndependently(t *testing.T) {
 func TestGeneratedPageCopyOnWrite(t *testing.T) {
 	p, _ := withTable(t, lazyKernel)
 	m := New(p)
-	m.Mem.Read64(tableAddr) // materialised before the clone: shared
+	m.Mem.Store8(tableAddr, m.Mem.Load8(tableAddr)) // materialised before the clone: shared
 	c := m.Clone()
 	if c.Mem.SharedPages() == 0 {
 		t.Fatal("materialised generated page not shared after Clone")

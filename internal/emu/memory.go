@@ -51,7 +51,10 @@ func newPage() *page {
 
 // Memory is a sparse, paged, little-endian byte-addressable memory.
 // Reads of unwritten locations return zero, except inside a generated
-// segment of the loaded image, whose pages are filled on first touch.
+// segment of the loaded image, whose pages are filled on first touch. A
+// page wholly inside one generated segment serves its first few reads
+// from the segment's Fill instead, and is filled when it is written or
+// read more (readThrough).
 //
 // A Memory must only be accessed from one goroutine at a time, but
 // independent clones may execute concurrently: cloned pages are shared
@@ -70,6 +73,15 @@ type Memory struct {
 	// they cover is filled from it on first touch (fault). Immutable and
 	// shared with every clone; nil when there are none.
 	img *image
+	// reads counts, for each low-region key, the reads served from the
+	// image while the page stayed absent (readThrough). It is sized at
+	// New like low, never grows, and is not cloned: a clone's absent
+	// pages, and keys past its end, fault on first touch. lastLine is
+	// the 64-byte line of the latest read-through plus one (0: none),
+	// and rt its scratch bytes.
+	reads    []uint8
+	lastLine uint64
+	rt       [16]byte
 	// spare holds pages fault has allocated but not yet used; a clone
 	// starts without any.
 	spare []page
@@ -85,13 +97,17 @@ type Memory struct {
 func NewMemory() *Memory { return &Memory{} }
 
 // sizeFor sizes the empty page table of m to cover every page of p's
-// image, so loading p and touching its pages never grows it.
+// image, so loading p and touching its pages never grows it, and, when
+// p has generated segments (m.img), gives each key a read-through count.
 func (m *Memory) sizeFor(p *asm.Program) {
 	var end uint64
 	for _, s := range p.Segments {
 		end = max(end, s.Addr+s.Size+uint64(len(s.Data)))
 	}
 	m.low = make([]*page, min(lowKeys, (end+pageSize-1)>>pageBits))
+	if m.img != nil {
+		m.reads = make([]uint8, len(m.low))
+	}
 }
 
 // image is the generated part of a program image (asm.Segment.Fill),
@@ -143,6 +159,18 @@ func (img *image) fill(key uint64, dst *[pageSize]byte) {
 	}
 }
 
+// wholeSeg returns the generated segment that covers all of page key, or
+// nil.
+func (img *image) wholeSeg(key uint64) *asm.Segment {
+	lo := key << pageBits
+	for i := range img.segs {
+		if s := &img.segs[i]; s.Addr <= lo && lo+pageSize <= s.Addr+s.Size {
+			return s
+		}
+	}
+	return nil
+}
+
 // forEachKey calls fn for the key of every page a generated segment
 // covers.
 func (img *image) forEachKey(fn func(key uint64)) {
@@ -180,14 +208,64 @@ func (m *Memory) fault(key uint64) *page {
 	return p
 }
 
-// rpage resolves the page containing addr for a read, faulting it in on
-// first touch; nil means the page reads as zero.
-func (m *Memory) rpage(addr uint64) *page {
+// readThroughs is how many reads an absent page wholly inside a generated
+// segment serves from the image before a read makes it resident; a read of the
+// same line (1<<lineBits bytes) as the latest read-through makes it
+// resident at once (DESIGN.md §8.11).
+const (
+	readThroughs = 16
+	lineBits     = 6
+)
+
+// readSlow returns the n bytes (n = 1, 4 or 8) at addr, all within one
+// page, little-endian in the low bytes. An absent page is read through
+// when it may be, else faulted in.
+func (m *Memory) readSlow(addr, n uint64) uint64 {
 	key := addr >> pageBits
-	if p := m.lookup(key); p != nil {
-		return p
+	p := m.lookup(key)
+	if p == nil {
+		if v, ok := m.readThrough(key, addr, n); ok {
+			return v
+		}
+		if p = m.fault(key); p == nil {
+			return 0
+		}
 	}
-	return m.fault(key)
+	off := addr & (pageSize - 1)
+	switch n {
+	case 8:
+		return binary.LittleEndian.Uint64(p.data[off : off+8])
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(p.data[off : off+4]))
+	}
+	return uint64(p.data[off])
+}
+
+// readThrough serves the n bytes at addr of absent page key from the
+// image without making the page resident, when the page lies wholly in a
+// generated segment, has served fewer than readThroughs reads, and addr
+// is not on the line the latest read-through served (the second read of a
+// stream). ok is false when the caller must fault the page in instead.
+func (m *Memory) readThrough(key, addr, n uint64) (v uint64, ok bool) {
+	if key >= uint64(len(m.reads)) || m.reads[key] >= readThroughs {
+		return 0, false
+	}
+	line := addr>>lineBits + 1
+	if line == m.lastLine {
+		return 0, false
+	}
+	s := m.img.wholeSeg(key)
+	if s == nil {
+		m.reads[key] = readThroughs // never asks again
+		return 0, false
+	}
+	m.reads[key]++
+	m.lastLine = line
+	// Fill whole 8-byte words (at most two), the grain a table of words
+	// serves without a scratch buffer of its own.
+	lo := addr &^ 7
+	s.Fill(lo-s.Addr, m.rt[:(addr+n-lo+7)&^7])
+	return binary.LittleEndian.Uint64(m.rt[addr-lo:]) & (^uint64(0) >> (64 - 8*n)), true
 }
 
 // lookup returns the resident page for key, or nil. A key between
@@ -301,13 +379,7 @@ func (m *Memory) Load8(addr uint64) byte {
 	return m.load8Slow(addr)
 }
 
-func (m *Memory) load8Slow(addr uint64) byte {
-	p := m.rpage(addr)
-	if p == nil {
-		return 0
-	}
-	return p.data[addr&(pageSize-1)]
-}
+func (m *Memory) load8Slow(addr uint64) byte { return byte(m.readSlow(addr, 1)) }
 
 // Store8 stores b at addr.
 func (m *Memory) Store8(addr uint64, b byte) {
@@ -327,13 +399,8 @@ func (m *Memory) Read64(addr uint64) uint64 {
 }
 
 func (m *Memory) read64Slow(addr uint64) uint64 {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-8 {
-		p := m.rpage(addr)
-		if p == nil {
-			return 0
-		}
-		return binary.LittleEndian.Uint64(p.data[off : off+8])
+	if addr&(pageSize-1) <= pageSize-8 {
+		return m.readSlow(addr, 8)
 	}
 	var v uint64
 	for i := uint64(0); i < 8; i++ {
@@ -380,13 +447,8 @@ func (m *Memory) Write32(addr uint64, v uint32) {
 // Read32 loads the 4-byte little-endian value at addr (used for
 // instruction fetch).
 func (m *Memory) Read32(addr uint64) uint32 {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-4 {
-		p := m.rpage(addr)
-		if p == nil {
-			return 0
-		}
-		return binary.LittleEndian.Uint32(p.data[off : off+4])
+	if addr&(pageSize-1) <= pageSize-4 {
+		return uint32(m.readSlow(addr, 4))
 	}
 	var v uint32
 	for i := uint64(0); i < 4; i++ {

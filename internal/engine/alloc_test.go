@@ -14,8 +14,9 @@ import (
 
 // driveAllocs runs model on the named proxy for insts instructions and
 // returns the heap objects engine.Drive allocated. The image's pages are
-// materialised first, one read per page, so first-touch page generation
-// is not counted.
+// made resident first by storing each page's first byte back (a read
+// alone may be served from the generator and leave the page absent), so
+// first-touch page generation is not counted.
 func driveAllocs(t *testing.T, model config.Model, name string, insts uint64) uint64 {
 	t.Helper()
 	w, ok := workload.ByName(name)
@@ -26,7 +27,8 @@ func driveAllocs(t *testing.T, model config.Model, name string, insts uint64) ui
 	m := emu.New(prog)
 	for _, s := range prog.Segments {
 		for off := uint64(0); off < s.Size; off += 4096 {
-			m.Mem.Load8(s.Addr + off)
+			a := s.Addr + off
+			m.Mem.Store8(a, m.Mem.Load8(a))
 		}
 	}
 	e, err := engine.New(model, emu.NewStream(m, insts))

@@ -150,19 +150,27 @@ func (c *Cache) path(key string) string {
 
 // Get returns the cached Result for key, if present and decodable.
 func (c *Cache) Get(key string) (engine.Result, bool) {
+	res, ok := c.load(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return res, ok
+}
+
+// load is Get without counting the lookup.
+func (c *Cache) load(key string) (engine.Result, bool) {
 	b, err := os.ReadFile(c.path(key))
 	if err != nil {
-		c.misses.Add(1)
 		return engine.Result{}, false
 	}
 	var res engine.Result
 	if err := json.Unmarshal(b, &res); err != nil {
 		// Corrupt entry: drop it and treat as a miss.
 		_ = os.Remove(c.path(key))
-		c.misses.Add(1)
 		return engine.Result{}, false
 	}
-	c.hits.Add(1)
 	return res, true
 }
 

@@ -28,12 +28,12 @@ import (
 )
 
 // call is one in-flight execution of a cache key. done is closed after
-// res/err/fed are final.
+// res/err/hit are final.
 type call struct {
 	done chan struct{}
 	res  engine.Result
 	err  error
-	fed  bool // answered by the federation fallback, not a simulation
+	hit  bool // answered from this cache or a peer's, not a simulation
 }
 
 // runShared executes run for key with singleflight collapsing: concurrent
@@ -87,6 +87,15 @@ func (c *Cache) runShared(ctx context.Context, key string, run func() (engine.Re
 					cl.err = fmt.Errorf("sweep: flight leader panicked: %v\n%s", r, debug.Stack())
 				}
 			}()
+			// A leader that finished after this caller's Get missed but
+			// before it registered has Put its result already (run
+			// puts before the flight is unregistered): look again. A
+			// second look that finds nothing is the miss counted above.
+			if res, ok := c.load(key); ok {
+				c.hits.Add(1)
+				cl.res, cl.hit = res, true
+				return
+			}
 			// Federation: before paying for a simulation, ask the
 			// second-level lookup (a peer shard's cache). Only the
 			// leader asks, so collapsed followers of this key cost zero
@@ -97,14 +106,15 @@ func (c *Cache) runShared(ctx context.Context, key string, run func() (engine.Re
 				if res, ok := fb(ctx, key); ok {
 					c.federated.Add(1)
 					_ = c.Put(key, res)
-					cl.res, cl.fed = res, true
+					cl.res, cl.hit = res, true
 					return
 				}
 			}
 			cl.res, cl.err = run()
 		}()
-		// A federated answer reports as a cache hit: the caller did not
-		// simulate, it was served an existing entry — just a remote one.
-		return cl.res, cl.fed, false, cl.err
+		// An answer from the second look or a peer reports as a cache
+		// hit: the caller did not simulate, it was served an existing
+		// entry.
+		return cl.res, cl.hit, false, cl.err
 	}
 }

@@ -220,7 +220,9 @@ func TestSingleflightFollowerCancellation(t *testing.T) {
 		return engine.Result{}, nil
 	})
 
+	leaderDone := make(chan struct{})
 	go func() {
+		defer close(leaderDone)
 		_, _, _, _ = RunOne(context.Background(), job, cache)
 	}()
 	<-started
@@ -244,4 +246,5 @@ func TestSingleflightFollowerCancellation(t *testing.T) {
 		t.Fatal("cancelled follower still blocked on the leader's flight")
 	}
 	close(release) // let the leader finish
+	<-leaderDone   // and Put its entry before the cache directory is removed
 }

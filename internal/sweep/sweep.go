@@ -92,7 +92,7 @@ type Event struct {
 	Kind     EventKind
 	JobIndex int    // index into the job slice
 	Label    string // Job.Label
-	Done     int    // jobs completed so far (including this one, for EventDone)
+	Done     int    // EventDone events delivered so far (including this one)
 	Total    int    // total number of jobs
 	CacheHit bool   // EventDone: result came from the cache
 	Err      error  // EventDone: the job's error, if any
@@ -153,7 +153,15 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]engine.Result, Stats,
 	eventWG.Add(1)
 	go func() {
 		defer eventWG.Done()
+		done := 0
 		for e := range events {
+			// Counted here, in delivery order, not by the workers: a
+			// worker can be descheduled between finishing a job and
+			// posting its event, and Done must never go backwards.
+			if e.Kind == EventDone {
+				done++
+			}
+			e.Done = done
 			if opts.OnEvent != nil {
 				opts.OnEvent(e)
 			}
@@ -178,7 +186,6 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]engine.Result, Stats,
 		}
 	}()
 
-	var completed atomic.Int64
 	var ran, cacheHits, cacheMisses, collapsed, simInsts, simCycles atomic.Uint64
 	var detailedNanos atomic.Int64
 	var wg sync.WaitGroup
@@ -188,8 +195,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]engine.Result, Stats,
 			defer wg.Done()
 			for i := range feed {
 				job := &jobs[i]
-				events <- Event{Kind: EventStart, JobIndex: i, Label: job.Label,
-					Done: int(completed.Load()), Total: len(jobs)}
+				events <- Event{Kind: EventStart, JobIndex: i, Label: job.Label, Total: len(jobs)}
 				t0 := time.Now()
 				res, hit, shared, err := runOne(runCtx, job, opts.Cache)
 				elapsed := time.Since(t0)
@@ -210,9 +216,8 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]engine.Result, Stats,
 					}
 				}
 				results[i], hits[i], errs[i] = res, hit || shared, err
-				done := int(completed.Add(1))
 				events <- Event{Kind: EventDone, JobIndex: i, Label: job.Label,
-					Done: done, Total: len(jobs), CacheHit: hit || shared, Err: err}
+					Total: len(jobs), CacheHit: hit || shared, Err: err}
 				if err != nil && opts.Errors == FailFast {
 					stopOnce.Do(func() { close(stopFeed) })
 				}

@@ -9,30 +9,34 @@ package workload
 // filled on first touch. The bytes are exactly those the tables always
 // had, so every result is unchanged.
 //
-// The random tables can fill any page on its own because xorshift64 is
+// The random tables can fill any word on its own because xorshift64 is
 // linear over GF(2): one step multiplies the 64-bit state by a fixed
 // 64×64 bit matrix T, so the state before word w is T^w times the seed.
-// A table of T^(512·2^k) gives the state at any 512-word (4 KiB) block
-// boundary in at most one matrix-vector product per set bit of the block
-// index; the words within the block are then stepped as before. The
-// pointer-chase tables are a Sattolo shuffle, whose every swap depends on
-// the stream position of all the swaps before it, so they are shuffled in
-// O(n), keeping only the uint32 successor of each slot. That table depends
-// on nothing but the proxy's name and slot count, so it is shuffled once
-// per process and shared, read-only, by every later Build of the proxy and
-// every page fill of every machine running it (chaseTableFor).
+// A table of T^(64·2^k) gives the state at any 64-word (512-byte) sector
+// start in at most one matrix-vector product per set bit of the sector
+// index. Each table memoizes the state at every sector start on first use
+// (randomTable.stateAt), so a word costs at most 63 steps and a page fill
+// starts from the memo. The pointer-chase tables are a Sattolo shuffle,
+// whose every swap depends on the stream position of all the swaps before
+// it, so they are shuffled in O(n), keeping only the uint32 successor of
+// each slot. Build assembles each Params value once per process
+// (programs), so both kinds are built once and shared, read-only, by every
+// later Build of the proxy and every page fill of every machine running
+// it. Since either kind produces a single word cheaply, emu serves a
+// cell's sparse reads from them without making the page resident.
 
 import (
 	"encoding/binary"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"fxa/internal/asm"
 )
 
-// blockWords is the number of table words per jump-table step (one 4 KiB
-// page of 8-byte words).
-const blockWords = 512
+// sectorWords is the number of table words per memoized generator state
+// and per jump-table step: one 512-byte sector.
+const sectorWords = 64
 
 // gf2 is a 64×64 matrix over GF(2), stored by column: column j is the
 // image of the state with only bit j set.
@@ -56,19 +60,19 @@ func (m *gf2) square() *gf2 {
 	return &s
 }
 
-// blockJumps returns T^(blockWords·2^k) for every bit k of a block index
-// inside the data region.
-var blockJumps = sync.OnceValue(func() []*gf2 {
+// sectorJumps returns T^(sectorWords·2^k) for every bit k of a sector
+// index inside the data region.
+var sectorJumps = sync.OnceValue(func() []*gf2 {
 	t := new(gf2)
 	for j := range t {
 		r := rng(1) << j
 		t[j] = r.next()
 	}
-	for n := 1; n < blockWords; n *= 2 {
+	for n := 1; n < sectorWords; n *= 2 {
 		t = t.square()
 	}
 	jumps := []*gf2{t}
-	for len(jumps) < bits.Len(dataRegion/(blockWords*8)-1) {
+	for len(jumps) < bits.Len(dataRegion/(sectorWords*8)-1) {
 		jumps = append(jumps, jumps[len(jumps)-1].square())
 	}
 	return jumps
@@ -76,14 +80,14 @@ var blockJumps = sync.OnceValue(func() []*gf2 {
 
 // advance returns the generator state w steps after r.
 func (r rng) advance(w uint64) rng {
-	x, jumps := uint64(r), blockJumps()
-	for k, b := 0, w/blockWords; b != 0; k, b = k+1, b>>1 {
+	x, jumps := uint64(r), sectorJumps()
+	for k, b := 0, w/sectorWords; b != 0; k, b = k+1, b>>1 {
 		if b&1 != 0 {
 			x = jumps[k].apply(x)
 		}
 	}
 	s := rng(x)
-	for i := w % blockWords; i > 0; i-- {
+	for i := w % sectorWords; i > 0; i-- {
 		s.next()
 	}
 	return s
@@ -91,18 +95,44 @@ func (r rng) advance(w uint64) rng {
 
 // randomTable is a table whose word w is derived from the (w+1)-th output
 // of the xorshift64 stream seeded with seed: a 0/1 branch condition taken
-// with probability bias, or a 12-bit payload word.
+// with probability bias, or a 12-bit payload word. at memoizes the
+// generator state before each sector's first word on first use: 8 bytes
+// per 512 bytes of table. A zero entry is one not yet computed
+// (xorshift64 never reaches state 0); goroutines that race on one compute
+// the same value.
 type randomTable struct {
 	seed   rng
+	at     []atomic.Uint64
 	branch bool
 	bias   float64
+}
+
+// newRandomTable returns a payload table of the given number of words,
+// seeded by name, with no sector state computed yet.
+func newRandomTable(name string, words int) *randomTable {
+	return &randomTable{seed: *newRNG(name), at: make([]atomic.Uint64, (words+sectorWords-1)/sectorWords)}
+}
+
+// stateAt returns the generator state before word w.
+func (t *randomTable) stateAt(w uint64) rng {
+	at := &t.at[w/sectorWords]
+	x := at.Load()
+	if x == 0 {
+		x = uint64(t.seed.advance(w &^ (sectorWords - 1)))
+		at.Store(x)
+	}
+	r := rng(x)
+	for i := w % sectorWords; i > 0; i-- {
+		r.next()
+	}
+	return r
 }
 
 func (t *randomTable) fill(off uint64, dst []byte) { fillWords(off, dst, t.fillAligned) }
 
 // fillAligned fills a whole-word range.
 func (t *randomTable) fillAligned(off uint64, dst []byte) {
-	r := t.seed.advance(off / 8)
+	r := t.stateAt(off / 8)
 	for ; len(dst) >= 8; dst = dst[8:] {
 		x := r.next()
 		v := x % 4096
@@ -141,37 +171,6 @@ func newChaseTable(r *rng, n int) *chaseTable {
 	return &chaseTable{next: next}
 }
 
-// chaseKey names one pointer-chase table: the proxy whose name seeds the
-// shuffle, and the table's slot count.
-type chaseKey struct {
-	name  string
-	slots int
-}
-
-// chaseTables memoizes the pointer-chase tables built so far, one per
-// distinct chaseKey (for the catalog, 5.5 MiB over mcf, omnetpp and
-// astar), each built once by its own sync.OnceValue. A table is never
-// written after its build, so any number of goroutines may fill pages
-// from it.
-var (
-	chaseMu     sync.Mutex
-	chaseTables = map[chaseKey]func() *chaseTable{}
-)
-
-// chaseTableFor returns the shared pointer-chase table of the named
-// proxy's data footprint of n slots, shuffling it on first use.
-func chaseTableFor(name string, n int) *chaseTable {
-	k := chaseKey{name, n}
-	chaseMu.Lock()
-	build, ok := chaseTables[k]
-	if !ok {
-		build = sync.OnceValue(func() *chaseTable { return newChaseTable(newRNG(name+"/data"), n) })
-		chaseTables[k] = build
-	}
-	chaseMu.Unlock()
-	return build()
-}
-
 func (t *chaseTable) fill(off uint64, dst []byte) { fillWords(off, dst, t.fillAligned) }
 
 // fillAligned fills a whole-word range.
@@ -199,7 +198,8 @@ func fillWords(off uint64, dst []byte, aligned func(off uint64, dst []byte)) {
 // branchTable returns the generated segment of 8192 words of 0/1 with the
 // proxy's taken bias.
 func (p Params) branchTable() asm.Segment {
-	t := &randomTable{seed: *newRNG(p.Name + "/branch"), branch: true, bias: p.TakenBias}
+	t := newRandomTable(p.Name+"/branch", brTableLen)
+	t.branch, t.bias = true, p.TakenBias
 	return asm.Segment{Addr: brTableBase, Size: brTableLen * 8, Fill: t.fill}
 }
 
@@ -210,9 +210,9 @@ func (p Params) branchTable() asm.Segment {
 func (p Params) dataTable() asm.Segment {
 	seg := asm.Segment{Addr: dataBase, Size: uint64(p.Footprint)}
 	if p.Chase > 0 || p.Pattern == Chase {
-		seg.Fill = chaseTableFor(p.Name, p.Footprint/8).fill
+		seg.Fill = newChaseTable(newRNG(p.Name+"/data"), p.Footprint/8).fill
 	} else {
-		seg.Fill = (&randomTable{seed: *newRNG(p.Name + "/data")}).fill
+		seg.Fill = newRandomTable(p.Name+"/data", p.Footprint/8).fill
 	}
 	return seg
 }

@@ -55,6 +55,14 @@ func refDataTable(p Params) []byte {
 	return buf
 }
 
+// resetPrograms forgets every assembled program and the tables it holds,
+// so that goroutines race to build them again.
+func resetPrograms() {
+	programsMu.Lock()
+	clear(programs)
+	programsMu.Unlock()
+}
+
 // segmentAt returns prog's segment starting at addr.
 func segmentAt(t *testing.T, prog *asm.Program, addr uint64) asm.Segment {
 	t.Helper()
@@ -77,9 +85,13 @@ func materialize(s asm.Segment) []byte {
 // TestGeneratedTablesMatchEagerReference visits every page of both
 // generated tables of every proxy in a seeded random order and checks each
 // against the sequential reference generator: page fills must not depend
-// on which pages were filled before.
+// on which pages were filled before. It then reads each table at seeded
+// random offsets and sizes, page straddles included, through fresh
+// machines, which serve most reads from the generator without making the
+// page resident (emu's read-through): every value must equal the
+// reference's bytes.
 func TestGeneratedTablesMatchEagerReference(t *testing.T) {
-	const page = 4096
+	const page, reads = 4096, 100
 	rnd := rand.New(rand.NewSource(14))
 	for _, p := range Catalog() {
 		prog, err := p.Build()
@@ -102,6 +114,36 @@ func TestGeneratedTablesMatchEagerReference(t *testing.T) {
 				tc.seg.Fill(uint64(off), got)
 				if !bytes.Equal(got, tc.want[off:off+page]) {
 					t.Fatalf("%s %#x: page %d differs from the reference", p.Name, tc.seg.Addr, pg)
+				}
+			}
+			var m *emu.Machine
+			for i := 0; i < reads; i++ {
+				if i%8 == 0 {
+					m = emu.New(prog)
+				}
+				off := uint64(rnd.Intn(len(tc.want) - 8))
+				if i%5 == 0 { // straddle a page boundary
+					off = uint64(rnd.Intn(len(tc.want)/page-1)+1)*page - 1 - uint64(rnd.Intn(7))
+				}
+				size := []int{1, 2, 4, 8}[rnd.Intn(4)]
+				addr := tc.seg.Addr + off
+				var v uint64
+				switch size {
+				case 1:
+					v = uint64(m.Mem.Load8(addr))
+				case 2:
+					v = uint64(m.Mem.Read16(addr))
+				case 4:
+					v = uint64(m.Mem.Read32(addr))
+				case 8:
+					v = m.Mem.Read64(addr)
+				}
+				var want uint64
+				for j := size - 1; j >= 0; j-- {
+					want = want<<8 | uint64(tc.want[off+uint64(j)])
+				}
+				if v != want {
+					t.Fatalf("%s %#x: %d-byte read at offset %#x = %#x, want %#x", p.Name, tc.seg.Addr, size, off, v, want)
 				}
 			}
 		}
@@ -150,24 +192,25 @@ func TestRebuildSharesChaseTable(t *testing.T) {
 }
 
 // TestConcurrentBuildsShareChaseTables builds the three pointer-chasing
-// proxies on eight goroutines at once, starting from an empty memo, and
-// has each goroutine fault random data pages through its own machine:
-// every page must read as the eager reference. Run it under
-// `go test -race -count=10` after touching the memo or the tables it
-// shares.
+// proxies and milc (random payload words, whose sector states fill as the
+// goroutines read) on eight goroutines at once, starting from an empty
+// program memo. Each goroutine reads every word of random data pages
+// through its own machine (a read-through, then a fault) and random words
+// through a clone of it (faults): every word must read as the eager
+// reference. Run it under `go test -race -count=10` after touching the
+// memo, the tables it shares or read-through.
 func TestConcurrentBuildsShareChaseTables(t *testing.T) {
-	const goroutines, pages = 8, 16
+	const goroutines, pages, cloneReads = 8, 16, 64
 	var ps []Params
 	var refs [][]byte
-	for _, name := range []string{"mcf", "omnetpp", "astar"} {
+	for _, name := range []string{"mcf", "omnetpp", "astar", "milc"} {
 		p, _ := ByName(name)
 		ps = append(ps, p)
 		refs = append(refs, refDataTable(p))
 	}
-	// Empty the memo, so the goroutines race to shuffle each table.
-	chaseMu.Lock()
-	clear(chaseTables)
-	chaseMu.Unlock()
+	// Empty the memo, so the goroutines race to assemble each program,
+	// shuffle each chase table and fill each sector state.
+	resetPrograms()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -183,13 +226,25 @@ func TestConcurrentBuildsShareChaseTables(t *testing.T) {
 					return
 				}
 				m := emu.New(prog)
+				check := func(mem *emu.Memory, off int) bool {
+					got := mem.Read64(dataBase + uint64(off))
+					if want := binary.LittleEndian.Uint64(ref[off:]); got != want {
+						t.Errorf("%s: word at data offset %#x reads %#x, want %#x", p.Name, off, got, want)
+						return false
+					}
+					return true
+				}
 				for _, pg := range rnd.Perm(p.Footprint / 4096)[:pages] {
 					for off := pg * 4096; off < (pg+1)*4096; off += 8 {
-						got := m.Mem.Read64(dataBase + uint64(off))
-						if want := binary.LittleEndian.Uint64(ref[off:]); got != want {
-							t.Errorf("%s: word at data offset %#x reads %#x, want %#x", p.Name, off, got, want)
+						if !check(m.Mem, off) {
 							return
 						}
+					}
+				}
+				c := m.Clone()
+				for k := 0; k < cloneReads; k++ {
+					if !check(c.Mem, rnd.Intn(p.Footprint/8)*8) {
+						return
 					}
 				}
 			}

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -211,11 +213,11 @@ func TestDeterministicBuild(t *testing.T) {
 			t.Fatalf("segment %d differs between builds", i)
 		}
 	}
-	// The two builds share one memoized chase table: it must be the
-	// table a fresh shuffle from the proxy's seed produces.
-	slots := p.Footprint / 8
-	fresh := newChaseTable(newRNG(p.Name+"/data"), slots)
-	if !slices.Equal(chaseTableFor(p.Name, slots).next, fresh.next) {
+	// The two builds share one memoized program: its chase table must
+	// be the table a fresh shuffle from the proxy's seed produces.
+	fresh := make([]byte, p.Footprint)
+	newChaseTable(newRNG(p.Name+"/data"), p.Footprint/8).fill(0, fresh)
+	if !bytes.Equal(materialize(segmentAt(t, a, dataBase)), fresh) {
 		t.Fatal("memoized chase table differs from a fresh shuffle")
 	}
 }
@@ -228,6 +230,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{Name: "x", Footprint: 4096, ChainsInt: 9, BodyRepeat: 1},
 		{Name: "x", Footprint: 4096, ChainsInt: 1, BodyRepeat: 0},
 		{Name: "x", Footprint: 4096, ChainsInt: 1, BodyRepeat: 1, TakenBias: 1.5},
+		{Name: "x", Footprint: 4096, ChainsInt: 1, BodyRepeat: 1, TakenBias: math.NaN()},
 		{Name: "x", Footprint: dataRegion * 2, ChainsInt: 1, BodyRepeat: 1},
 	}
 	for i, p := range bad {
@@ -305,5 +308,38 @@ func TestCompiledCatalogRuns(t *testing.T) {
 	}
 	if _, ok := CompiledByName("nope"); ok {
 		t.Error("CompiledByName accepted unknown name")
+	}
+}
+
+// TestBuildAssemblesOnce checks the assembled-program memo: a second
+// Build of a proxy allocates a small fraction of the first (which renders
+// and assembles the source), and each Build returns its own Program, so
+// a caller that changes one program's segments does not change the next.
+func TestBuildAssemblesOnce(t *testing.T) {
+	p, _ := ByName("gcc")
+	resetPrograms()
+	allocated := func() uint64 {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.MustBuild()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := allocated(), allocated()
+	t.Logf("Build of gcc: %d bytes the first time, %d the second", first, second)
+	if second > first/10 {
+		t.Errorf("a second Build allocated %d bytes, the first %d: want under a tenth", second, first)
+	}
+
+	a := p.MustBuild()
+	want := slices.Clone(a.Segments)
+	a.Segments[0].Addr++
+	a.Segments = a.Segments[:1]
+	a.Labels["start"]++
+	b := p.MustBuild()
+	if len(b.Segments) != len(want) || b.Segments[0].Addr != want[0].Addr || b.Labels["start"] != want[0].Addr {
+		t.Errorf("changing one Build's program changed the next: %d segments, first at %#x, start %#x",
+			len(b.Segments), b.Segments[0].Addr, b.Labels["start"])
 	}
 }
