@@ -60,9 +60,11 @@ GO ?= go
 # it runs on sweep worker goroutines, and the consistent-hash ring is
 # read concurrently by every router pump. The workload package shares
 # one pointer-chase table per proxy across every goroutine that builds
-# or runs it. (The root package's multi-worker determinism tests run
-# under race in race-full.)
-RACE_PKGS = ./internal/sweep ./internal/sampling ./internal/emu ./internal/serve ./internal/pipeline ./internal/ring ./internal/workload
+# or runs it. The mem package's line-array pool is shared by every sweep
+# worker and both shards of a serve process; its test runs four cells at
+# once, which also shares the emulator's page-chunk pool. (The root
+# package's multi-worker determinism tests run under race in race-full.)
+RACE_PKGS = ./internal/sweep ./internal/sampling ./internal/emu ./internal/serve ./internal/pipeline ./internal/ring ./internal/workload ./internal/mem
 
 # Perfgate knobs (override on the command line, e.g.
 # `make bench-gate PERFGATE_BENCHOUT=bench-raw.txt`).

@@ -203,7 +203,11 @@ func run(ctx context.Context, s Spec, ff *ffMeter) (Result, error) {
 	trace := s.Trace
 	var err error
 	if trace == nil {
-		trace, err = newCellTrace(s.Workload, s.Warmup, s.MaxInsts, ff)
+		if trace, err = newCellTrace(s.Workload, s.Warmup, s.MaxInsts, ff); err == nil {
+			// The trace is this run's alone: its pages go to the next
+			// cell's faults once the run is over.
+			defer trace.M.Mem.Release()
+		}
 	}
 	var res Result
 	if err == nil {

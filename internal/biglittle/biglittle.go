@@ -114,6 +114,7 @@ func run(ctx context.Context, m config.Model, w workload.Params, insts uint64) (
 		return engine.Result{}, 0, err
 	}
 	res, err := engine.Run(ctx, m, trace, engine.Options{})
+	trace.M.Mem.Release()
 	if err != nil {
 		return engine.Result{}, 0, fmt.Errorf("biglittle: %s on %s: %w", m.Name, w.Name, err)
 	}

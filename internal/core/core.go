@@ -38,8 +38,8 @@ const minIssueDelay = 2
 const violationRecovery = 2
 
 // Core is one out-of-order (optionally FXA) core simulation. It
-// implements engine.Engine (plus the Aborter, OccupancyReporter and
-// ProbeAttacher extensions) and registers itself for config.OutOfOrder
+// implements engine.Engine (plus the Aborter, Releaser, OccupancyReporter
+// and ProbeAttacher extensions) and registers itself for config.OutOfOrder
 // from init.
 type Core struct {
 	cfg config.Model
@@ -267,6 +267,10 @@ func (co *Core) Abort() {
 	co.fe.DropReplay()
 	co.blockingBr = nil
 }
+
+// Release gives the core's cache arrays to the next hierarchy built
+// (engine.Releaser); the core must not run again.
+func (co *Core) Release() { co.mem.Release() }
 
 func (co *Core) ixuEmpty() bool {
 	for _, st := range co.ixu {

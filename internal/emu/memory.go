@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"fxa/internal/asm"
@@ -82,9 +83,15 @@ type Memory struct {
 	reads    []uint8
 	lastLine uint64
 	rt       [16]byte
-	// spare holds pages fault has allocated but not yet used; a clone
-	// starts without any.
-	spare []page
+	// spare holds the pages of the latest chunk that fault has not yet
+	// used, and chunks every chunk it took, for Release; a clone starts
+	// without any.
+	spare  []page
+	chunks []*chunk
+	// shared marks a memory that was cloned or is a clone: its pages may
+	// be referenced by another memory, so Release recycles none of them.
+	// released marks a memory Release has emptied; fault panics on it.
+	shared, released bool
 
 	// onCodeWrite, when non-nil, is invoked with the page key before a
 	// write lands in a page whose code flag is set. The hook is
@@ -184,28 +191,63 @@ func (img *image) forEachKey(fn func(key uint64)) {
 	}
 }
 
-// faultChunk is how many pages fault allocates at once. The allocator
-// would round one 4,104-byte page up to a 4,864-byte size class; 15 pages
-// fill a 64 KiB span with 6% to spare, as one heap object instead of 15.
-const faultChunk = 15
+// chunk is the unit fault allocates pages in. The allocator would round
+// one 4,104-byte page up to a 4,864-byte size class; 15 pages fill a
+// 64 KiB span with 6% to spare, as one heap object instead of 15.
+type chunk [15]page
+
+// chunks recycles fault's chunks between memories: a memory gives its
+// chunks back when its run ends (Release), and the next fault, in any
+// memory on any goroutine, refills one instead of allocating it
+// (DESIGN.md §8.13).
+var chunks sync.Pool // *chunk
 
 // fault is the one first-touch path for absent pages: when the image
 // covers page key it fills a page, installs it and returns it. A page
 // outside every generated segment is left absent, allocating nothing, and
-// fault returns nil: it reads as zero.
+// fault returns nil: it reads as zero. It panics on a released memory.
 func (m *Memory) fault(key uint64) *page {
+	if m.released {
+		panic("emu: access to a released Memory")
+	}
 	if !m.img.covers(key) {
 		return nil
 	}
 	if len(m.spare) == 0 {
-		m.spare = make([]page, faultChunk)
+		c, _ := chunks.Get().(*chunk)
+		if c == nil {
+			c = new(chunk)
+		}
+		m.chunks = append(m.chunks, c)
+		m.spare = c[:]
 	}
 	p := &m.spare[0]
 	m.spare = m.spare[1:]
+	// A recycled page still holds another memory's flags and bytes; fill
+	// overwrites only the bytes the image covers.
 	p.refs.Store(1)
+	p.code.Store(false)
+	if m.img.wholeSeg(key) == nil {
+		p.data = [pageSize]byte{}
+	}
 	m.img.fill(key, &p.data)
 	m.install(key, p)
 	return p
+}
+
+// Release ends the memory's life once its last user is done with it. A
+// memory that was never cloned and is not a clone gives its chunks back
+// for other memories' faults; a cloned one recycles nothing, since a
+// clone may still share its pages. Either way it forgets every page, so a
+// later access to it panics instead of refilling. Releasing twice is a
+// no-op.
+func (m *Memory) Release() {
+	if !m.shared {
+		for _, c := range m.chunks {
+			chunks.Put(c)
+		}
+	}
+	*m = Memory{released: true}
 }
 
 // readThroughs is how many reads an absent page wholly inside a generated
@@ -575,10 +617,12 @@ func (m *Memory) Equal(o *Memory) bool {
 // (and vice versa), and the two may execute on different goroutines.
 // Pages of the generated image that neither side has touched stay
 // unmaterialised: the clone shares the image, and each side faults such a
-// page into its own table on first touch. The code-write hook is
+// page into its own table on first touch. Both sides are marked shared,
+// so neither recycles its pages on Release. The code-write hook is
 // deliberately not inherited; the cloning Machine installs its own.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{low: slices.Clone(m.low), img: m.img}
+	m.shared = true
+	c := &Memory{low: slices.Clone(m.low), img: m.img, shared: true}
 	for _, p := range c.low {
 		if p != nil {
 			p.refs.Add(1)

@@ -19,8 +19,9 @@
 //   - Drive, the shared run loop: cancellation checked every CheckEvery
 //     cycles (not per cycle, so the hot loop stays allocation- and
 //     branch-clean) and optional interval-metrics collection;
-//   - Run, New then Drive then the trace-fault check: the entry point
-//     for every caller that does not attach a Probe;
+//   - Run, New then Drive then the trace-fault check, releasing the
+//     engine's buffers at the end: the entry point for every caller that
+//     does not attach a Probe;
 //   - the shared front-half building blocks TraceReader (batched trace
 //     consumption) and Watchdog (deadlock detection);
 //   - the schema-versioned Result/Interval types consumed by the sweep
@@ -66,6 +67,15 @@ type Engine interface {
 // stopped; engines whose state is garbage-collected may omit it.
 type Aborter interface {
 	Abort()
+}
+
+// Releaser is an optional Engine extension: Release hands the engine's
+// recyclable buffers (its memory hierarchy's cache arrays) to the engines
+// built after it. Run calls it once Drive has returned, whatever Drive
+// returned; the engine must not be stepped or asked for a Result again.
+// Engines with nothing to recycle may omit it.
+type Releaser interface {
+	Release()
 }
 
 // LeakChecker is an optional Engine extension: LeakCheck verifies that a
@@ -172,10 +182,14 @@ func New(m config.Model, trace Trace) (Engine, error) {
 // from the timing model's point of view, so the drained Result would pass
 // for a short run; when trace reports an Err() error, Run returns it
 // wrapped instead. This is the one place a faulted trace fails a run.
+// The engine is Run's alone, so it is released (Releaser) on return.
 func Run(ctx context.Context, m config.Model, trace Trace, opts Options) (Result, error) {
 	e, err := New(m, trace)
 	if err != nil {
 		return Result{}, err
+	}
+	if r, ok := e.(Releaser); ok {
+		defer r.Release()
 	}
 	res, err := Drive(ctx, e, opts)
 	if err != nil {

@@ -86,8 +86,9 @@ type PairStats struct {
 }
 
 // Core is one in-order core simulation. It implements engine.Engine
-// (plus the Aborter and OccupancyReporter extensions) and registers
-// itself for config.InOrder and config.DualIssueInOrder from init.
+// (plus the Aborter, Releaser and OccupancyReporter extensions) and
+// registers itself for config.InOrder and config.DualIssueInOrder from
+// init.
 type Core struct {
 	cfg config.Model
 	mem *mem.Hierarchy
@@ -237,6 +238,10 @@ func (co *Core) Abort() {
 	co.fe.DropReplay()
 	co.blocked = false
 }
+
+// Release gives the core's cache arrays to the next hierarchy built
+// (engine.Releaser); the core must not run again.
+func (co *Core) Release() { co.mem.Release() }
 
 // fetch mirrors the out-of-order front end: predictor consultation,
 // I-cache access per line, fetch groups ending at taken branches, and a

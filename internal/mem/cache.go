@@ -9,6 +9,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Replacement selects the victim-choice policy of a cache.
@@ -154,11 +155,50 @@ func NewCache(cfg CacheConfig, next Level) *Cache {
 	return &Cache{
 		cfg:      cfg,
 		next:     next,
-		lines:    make([]line, sets*cfg.Ways),
+		lines:    newLines(sets * cfg.Ways),
 		ways:     uint64(cfg.Ways),
 		setMask:  uint64(sets - 1),
 		setBits:  uint(bits.TrailingZeros(uint(sets))),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+	}
+}
+
+// linePools recycles line arrays between caches, one pool of *[]line per
+// array length: a hierarchy gives its arrays back when its run ends
+// (Hierarchy.Release), and the next cache of that geometry, on any
+// goroutine, clears one instead of allocating it (DESIGN.md §8.13).
+var (
+	linePoolsMu sync.Mutex
+	linePools   = make(map[int]*sync.Pool)
+)
+
+func linePool(n int) *sync.Pool {
+	linePoolsMu.Lock()
+	defer linePoolsMu.Unlock()
+	p := linePools[n]
+	if p == nil {
+		p = new(sync.Pool)
+		linePools[n] = p
+	}
+	return p
+}
+
+// newLines returns n invalid lines: a recycled array cleared, or a new
+// one.
+func newLines(n int) []line {
+	if b, ok := linePool(n).Get().(*[]line); ok {
+		clear(*b)
+		return *b
+	}
+	return make([]line, n)
+}
+
+// release gives c's lines back and leaves it with none, so a later Access
+// or Probe panics instead of reading another cache's state.
+func (c *Cache) release() {
+	if lines := c.lines; lines != nil {
+		c.lines = nil
+		linePool(len(lines)).Put(&lines)
 	}
 }
 
@@ -348,6 +388,15 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		L2:   l2,
 		DRAM: dram,
 	}
+}
+
+// Release gives the hierarchy's line arrays to the next hierarchy built,
+// once its run is over. Stats stay readable; any later access panics.
+// Releasing twice is a no-op.
+func (h *Hierarchy) Release() {
+	h.L1I.release()
+	h.L1D.release()
+	h.L2.release()
 }
 
 // InstFetch performs an instruction fetch of the line containing pc and

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -238,5 +239,89 @@ func TestHierarchyAllocation(t *testing.T) {
 	}
 	if lat := h.DataRead(0x1000); lat != 2+12+200 {
 		t.Errorf("cold data read took %d cycles, want %d", lat, 2+12+200)
+	}
+}
+
+// accessStream drives h with a seeded mix of instruction fetches, loads
+// and stores (ascending streams included, so the prefetcher runs) and
+// returns every latency and the final stats of the three caches.
+func accessStream(h *Hierarchy, seed int64) ([]int, [3]CacheStats) {
+	r := rand.New(rand.NewSource(seed))
+	lat := make([]int, 0, 20_000)
+	stream := uint64(0x80_0000)
+	for range cap(lat) {
+		switch addr := uint64(r.Intn(1<<20)) &^ 7; r.Intn(4) {
+		case 0:
+			lat = append(lat, h.InstFetch(0x1000+addr%(64<<10)))
+		case 1:
+			lat = append(lat, h.DataRead(addr))
+		case 2:
+			lat = append(lat, h.DataWrite(addr))
+		default:
+			stream += 8
+			lat = append(lat, h.DataRead(stream))
+		}
+	}
+	return lat, [3]CacheStats{h.L1I.Stats, h.L1D.Stats, h.L2.Stats}
+}
+
+// TestRecycledHierarchyMatchesFresh: a hierarchy built on line arrays that
+// another run filled (valid, dirty and referenced lines with later LRU
+// stamps) gives the same latency sequence and stats as one built on new
+// arrays.
+func TestRecycledHierarchyMatchesFresh(t *testing.T) {
+	cfg := DefaultHierarchyConfig()
+	fresh := NewHierarchy(cfg)
+	for _, c := range []*Cache{fresh.L1I, fresh.L1D, fresh.L2} {
+		c.lines = make([]line, len(c.lines))
+	}
+	wantLat, wantStats := accessStream(fresh, 1)
+	// The pool may hand back an array this test did not fill (or none:
+	// sync.Pool drops items under the race detector), so fill and release
+	// until the L2 array comes back.
+	for range 20 {
+		used := NewHierarchy(cfg)
+		accessStream(used, 1)
+		l2 := &used.L2.lines[0]
+		used.Release()
+		h := NewHierarchy(cfg)
+		if &h.L2.lines[0] != l2 {
+			h.Release()
+			continue
+		}
+		lat, stats := accessStream(h, 1)
+		if stats != wantStats {
+			t.Errorf("recycled hierarchy's stats %+v, fresh %+v", stats, wantStats)
+		}
+		for i := range lat {
+			if lat[i] != wantLat[i] {
+				t.Fatalf("access %d: recycled hierarchy took %d cycles, fresh %d", i, lat[i], wantLat[i])
+			}
+		}
+		return
+	}
+	t.Fatal("a released L2 array never came back from the pool")
+}
+
+func TestReleasedHierarchyPanics(t *testing.T) {
+	h := NewHierarchy(DefaultHierarchyConfig())
+	h.DataRead(0x1000)
+	h.Release()
+	h.Release() // a second Release is a no-op
+	if h.L1D.Stats.Reads != 1 {
+		t.Errorf("released L1D reports %d reads, want 1", h.L1D.Stats.Reads)
+	}
+	for name, access := range map[string]func(){
+		"Access": func() { h.DataRead(0x1000) },
+		"Probe":  func() { h.L2.Probe(0x1000) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released hierarchy did not panic", name)
+				}
+			}()
+			access()
+		}()
 	}
 }
