@@ -12,16 +12,15 @@
 #   make bench-core  the core timing-loop suite alone, single repetition;
 #                BENCH_CORE_CPUPROFILE=x.pprof also collects a CPU profile
 #   make bench-emu  functional fast-forward + snapshot benchmarks
-#                (judged by bench-gate against BENCH_emu.json)
+#                (bench-gate judges them as its emu suite)
 #   make bench-figures  one pass over the table/figure benchmarks
-#   make bench-gate  the statistical performance-regression gate: run the
-#                core/emu/sampling suites with repetitions and compare
-#                against BENCH_core.json / BENCH_emu.json /
-#                BENCH_sampling.json (DESIGN.md §8.5); non-zero exit on
-#                a significant regression beyond threshold
-#   make bench-gate-update  re-record those baselines (after an
-#                intentional perf change; see EXPERIMENTS.md)
-#   make bench-gate-full    the nightly gate: double repetitions
+#   make bench-gate  the statistical performance-regression gate: build
+#                the core/emu/sampling suites at the parent commit (HEAD^)
+#                and in the working tree, run the two alternately in
+#                PERFGATE_COUNT pairs on this machine (DESIGN.md §8.5);
+#                non-zero exit on a significant regression beyond
+#                threshold
+#   make bench-gate-full    the nightly gate: double the pairs
 #   make fuzz    run of the core's random-flush fuzzer, then of the
 #                emulator's trace-loop fuzzer, then of the serve layer's
 #                job-spec decoder fuzzer, then of the emulator's memory
@@ -67,7 +66,8 @@ GO ?= go
 RACE_PKGS = ./internal/sweep ./internal/sampling ./internal/emu ./internal/serve ./internal/pipeline ./internal/ring ./internal/workload ./internal/mem
 
 # Perfgate knobs (override on the command line, e.g.
-# `make bench-gate PERFGATE_BENCHOUT=bench-raw.txt`).
+# `make bench-gate PERFGATE_BENCHOUT=bench-raw.txt`). PERFGATE_COUNT is
+# the number of alternating pairs; at least 5.
 PERFGATE_COUNT ?= 5
 PERFGATE_THRESHOLD ?= 1.10
 PERFGATE_BENCHOUT ?=
@@ -85,7 +85,7 @@ STATICCHECK ?= staticcheck
 
 .PHONY: tier1 check build vet test race race-full lint fmt-check \
 	bench bench-core bench-emu bench-figures bench-gate bench-gate-full \
-	bench-gate-update fuzz serve-smoke cluster-smoke cluster-chaos \
+	fuzz serve-smoke cluster-smoke cluster-chaos \
 	ci-sanity surface sampling-validate sampling-long bench-smoke
 
 # bench-core profiling knob: when set, the core suite also writes a CPU
@@ -147,8 +147,9 @@ bench-core:
 	$(GO) test -bench '^BenchmarkCore' -benchmem -count=1 -run '^$$' \
 		$(BENCH_CORE_FLAGS) ./internal/core
 
-# Functional fast-forward and snapshot benchmarks (DESIGN.md §8.3).
-# The live regression baseline is BENCH_emu.json (see bench-gate).
+# Functional fast-forward and snapshot benchmarks (DESIGN.md §8.3), and
+# the end-to-end sampled run. bench-gate judges the same benchmarks
+# against the parent commit.
 bench-emu:
 	$(GO) test -bench 'BenchmarkEmu|BenchmarkMemoryClone|BenchmarkMachineClone' -benchmem -count=5 -run '^$$' ./internal/emu
 	$(GO) test -bench 'BenchmarkSamplingEndToEnd' -benchmem -count=5 -run '^$$' ./internal/sampling
@@ -158,22 +159,19 @@ bench-emu:
 bench-figures:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# The statistical performance-regression gate (DESIGN.md §8.5): exits
-# non-zero when any gated metric is both statistically significant
-# (one-sided Mann-Whitney U) and worse than PERFGATE_THRESHOLD against
-# the checked-in baselines. Noisy runners widen tolerances; they never
-# flake the gate.
+# The statistical performance-regression gate (DESIGN.md §8.5): exports
+# the parent commit (HEAD^; in CI the base tip of the PR's merge commit,
+# so the checkout needs its full history) with `git archive`, builds each
+# suite's test binary there and in the working tree, and runs the two
+# alternately, one process per sample. Exits non-zero when a metric's
+# per-pair ratios exceed PERFGATE_THRESHOLD in enough pairs for a
+# one-sided sign test at 95% (every pair of 5, 9 of 10).
 bench-gate:
 	$(GO) run ./cmd/fxabench $(PERFGATE_FLAGS)
 
-# Nightly variant: double repetitions for tighter distributions.
+# Nightly variant: double the pairs, which lets the gate fire on 9 of 10.
 bench-gate-full:
 	$(MAKE) bench-gate PERFGATE_COUNT=10
-
-# Deliberate baseline refresh after an intentional performance change
-# (document the why in EXPERIMENTS.md; the diff shows up in review).
-bench-gate-update:
-	$(GO) run ./cmd/fxabench -perfgate -update-baseline -count $(PERFGATE_COUNT)
 
 # Runs of the native fuzzers, one after the other: random flush points in
 # the core (the seed corpus — mid-IXU squash, LQ/SQ partial squash, MSHR

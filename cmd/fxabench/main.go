@@ -13,22 +13,21 @@
 //	         [-format text|csv|json]
 //	fxabench -sample intervals:window:skip[:warmup] [-workload W] [-model M]
 //	         [-ci 0.95] [-j workers] [-format text|csv|markdown|json]
-//	fxabench -perfgate [-update-baseline] [-threshold 1.10] [-count 5]
-//	         [-suite all|core|emu|sampling] [-baselinedir .]
+//	fxabench -perfgate [-base HEAD^] [-threshold 1.10] [-count 5]
+//	         [-suite all|core|emu|sampling]
 //	         [-benchout file] [-benchtime d] [-format text|csv|markdown]
 //
 // With -perfgate, fxabench becomes the performance-regression gate
-// (DESIGN.md §8.5): it runs the repository's benchmark suites as `go
-// test -bench` subprocesses with -count repetitions (plus one discarded
-// warm-up repetition), compares the measured distributions against the
-// schema-versioned baselines BENCH_core.json / BENCH_emu.json /
-// BENCH_sampling.json, and exits non-zero with a regression table when
-// any metric is both statistically significant (one-sided Mann-Whitney
-// U, p < 0.05) and worse than -threshold (noisy runners widen the
-// tolerance instead of flaking). -update-baseline re-records the
-// baselines — the deliberate refresh after an intentional performance
-// change. -benchout preserves the raw `go test -bench` output (the CI
-// artifact); -threshold must lie in (1, 10].
+// (DESIGN.md §8.5): it exports the -base revision (default HEAD^, the
+// base tip of a PR merge commit) with `git archive` into a temporary
+// directory, builds each suite's test binary there and in the working
+// tree with `go test -c`, and runs the two alternately for -count pairs,
+// one process per sample. It prints a comparison table per suite and
+// exits non-zero when a metric's per-pair ratios show, by a one-sided
+// sign test at 95% confidence, a median worsening beyond -threshold
+// (every pair of 5, 9 of 10). -benchout preserves both sides' raw
+// benchmark output (the CI artifact); -threshold must lie in (1, 10],
+// and -count must be at least 5.
 //
 // With -intervals N, fxabench switches to single-run mode: it simulates
 // one workload on one model with the engine layer's interval-metrics
@@ -182,14 +181,13 @@ func main() {
 	ciLevel := flag.Float64("ci", 0.95, "two-sided confidence level for -sample's intervals, in (0,1)")
 	workloadName := flag.String("workload", "libquantum", "workload for -intervals/-sample mode")
 	modelName := flag.String("model", "HALF+FX", "processor model for -intervals/-sample mode")
-	gateMode := flag.Bool("perfgate", false, "performance-regression gate mode: run the benchmark suites and compare against the checked-in baselines")
-	gateUpdate := flag.Bool("update-baseline", false, "perfgate: re-record the baselines instead of gating")
+	gateMode := flag.Bool("perfgate", false, "performance-regression gate mode: run the benchmark suites in alternating pairs against a base revision")
+	gateBase := flag.String("base", "HEAD^", "perfgate: the git revision the working tree is compared with")
 	gateThreshold := flag.Float64("threshold", 1.10, "perfgate: practical regression threshold as a worseness ratio, in (1, 10]")
-	gateCount := flag.Int("count", 5, "perfgate: measured repetitions per benchmark")
+	gateCount := flag.Int("count", 5, "perfgate: alternating pairs of benchmark processes per suite (at least 5)")
 	gateSuite := flag.String("suite", "all", "perfgate: which suite to run (all, core, emu, sampling)")
-	gateBaselineDir := flag.String("baselinedir", ".", "perfgate: directory holding the BENCH_*.json baselines")
-	gateBenchOut := flag.String("benchout", "", "perfgate: tee the raw `go test -bench` output to this file (rotated, never clobbered)")
-	gateBenchTime := flag.String("benchtime", "", "perfgate: -benchtime passed through to go test (default: go's)")
+	gateBenchOut := flag.String("benchout", "", "perfgate: tee both sides' raw benchmark output to this file (rotated, never clobbered)")
+	gateBenchTime := flag.String("benchtime", "", "perfgate: -test.benchtime passed through to the benchmarks (default: go's)")
 	listModels := flag.Bool("list-models", false, "print every named model with its core kind and exit")
 	flag.Parse()
 
@@ -221,15 +219,15 @@ func main() {
 	if !*gateMode {
 		// The perfgate knobs mean nothing outside -perfgate; reject
 		// them instead of silently ignoring a mistyped gate run.
-		for _, name := range []string{"update-baseline", "threshold", "count", "suite", "baselinedir", "benchout", "benchtime"} {
+		for _, name := range []string{"base", "threshold", "count", "suite", "benchout", "benchtime"} {
 			if set[name] {
 				fatal(fmt.Errorf("-%s requires -perfgate", name))
 			}
 		}
 	} else if *gateThreshold <= 1 || *gateThreshold > 10 {
 		fatal(fmt.Errorf("-threshold %v out of range: must be in (1, 10] (it is a worseness ratio; 1.10 gates 10%% regressions)", *gateThreshold))
-	} else if *gateCount < 2 && !*gateUpdate {
-		fatal(fmt.Errorf("-count %d too small: the significance test needs at least 2 repetitions (default 5)", *gateCount))
+	} else if *gateCount < 5 {
+		fatal(fmt.Errorf("-count %d too small: a one-sided sign test cannot reach p < 0.05 with fewer than 5 pairs (default 5)", *gateCount))
 	}
 
 	if *cpuprofile != "" {
@@ -264,15 +262,14 @@ func main() {
 
 	if *gateMode {
 		failed, err := runPerfgate(context.Background(), perfgateConfig{
-			update:      *gateUpdate,
-			threshold:   *gateThreshold,
-			count:       *gateCount,
-			suite:       *gateSuite,
-			baselineDir: *gateBaselineDir,
-			benchOut:    *gateBenchOut,
-			benchTime:   *gateBenchTime,
-			format:      *format,
-			quiet:       *quiet,
+			base:      *gateBase,
+			threshold: *gateThreshold,
+			count:     *gateCount,
+			suite:     *gateSuite,
+			benchOut:  *gateBenchOut,
+			benchTime: *gateBenchTime,
+			format:    *format,
+			quiet:     *quiet,
 		})
 		if err != nil {
 			fatal(err)

@@ -1,42 +1,44 @@
 package main
 
-// The -perfgate mode: run the gated benchmark suites with repetitions,
-// compare them against the checked-in baselines (BENCH_core.json,
-// BENCH_emu.json, BENCH_sampling.json) with the statistics of
-// internal/perfgate, and exit non-zero on any statistically significant
-// regression beyond threshold. With -update-baseline it re-records the
-// baselines instead (the deliberate refresh path after an intentional
-// performance change — see EXPERIMENTS.md).
+// The -perfgate mode: build each gated benchmark suite from the -base
+// revision and from the working tree, run the two alternately in pairs
+// on this machine, judge the per-pair ratios with the sign test of
+// internal/perfgate, and exit non-zero on any significant regression
+// beyond threshold (DESIGN.md §8.5).
 
 import (
 	"context"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"fxa/internal/perfgate"
 )
 
 // perfgateConfig carries the perfgate-mode flag values.
 type perfgateConfig struct {
-	update      bool    // -update-baseline
-	threshold   float64 // -threshold
-	count       int     // -count
-	suite       string  // -suite: all|core|emu|sampling
-	baselineDir string  // -baselinedir
-	benchOut    string  // -benchout: raw go test output artifact
-	benchTime   string  // -benchtime passthrough
-	format      string  // -format: text|csv|markdown
-	quiet       bool    // -q
+	base      string  // -base: the revision the working tree is compared with
+	threshold float64 // -threshold
+	count     int     // -count: pairs
+	suite     string  // -suite: all|core|emu|sampling
+	benchOut  string  // -benchout: raw benchmark output artifact
+	benchTime string  // -benchtime passthrough
+	format    string  // -format: text|csv|markdown
+	quiet     bool    // -q
 }
 
-// runPerfgate executes the gate (or the baseline refresh). It returns
-// gateFailed=true when at least one suite regressed — the caller turns
-// that into a non-zero exit after all suites have reported, so a run
-// with regressions in two suites shows both tables.
+// runPerfgate executes the gate. It returns gateFailed=true when at
+// least one suite regressed — the caller turns that into a non-zero exit
+// after all suites have reported, so a run with regressions in two
+// suites shows both tables. An interrupt stops the benchmark processes
+// and still removes the exported base tree.
 func runPerfgate(ctx context.Context, cfg perfgateConfig) (gateFailed bool, err error) {
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	var specs []perfgate.SuiteSpec
 	if cfg.suite == "all" {
 		specs = perfgate.Suites
@@ -48,11 +50,19 @@ func runPerfgate(ctx context.Context, cfg perfgateConfig) (gateFailed bool, err 
 		specs = []perfgate.SuiteSpec{spec}
 	}
 
-	runner := &perfgate.Runner{
-		Dir:       ".",
-		Count:     cfg.count,
-		BenchTime: cfg.benchTime,
+	baseDir, baseCommit, err := perfgate.ExportTree(ctx, cfg.base)
+	if err != nil {
+		return false, err
 	}
+	defer os.RemoveAll(baseDir)
+
+	env := perfgate.CurrentFingerprint(".")
+	fmt.Printf("perfgate: %s %s/%s, %s, %d CPUs, GOMAXPROCS %d\n",
+		env.GoVersion, env.GOOS, env.GOARCH, orUnknown(env.CPUModel), env.NumCPU, env.GOMAXPROCS)
+	fmt.Printf("perfgate: base %s (%s), head %s with the working tree's changes\n\n",
+		baseCommit, cfg.base, orUnknown(env.Commit))
+
+	runner := &perfgate.Runner{Count: cfg.count, BenchTime: cfg.benchTime}
 	if !cfg.quiet {
 		runner.Log = os.Stderr
 	}
@@ -67,36 +77,17 @@ func runPerfgate(ctx context.Context, cfg perfgateConfig) (gateFailed bool, err 
 
 	var failures []string
 	for _, spec := range specs {
-		suite, err := runner.Run(ctx, spec)
+		base, head, err := runner.Run(ctx, spec, baseDir)
 		if err != nil {
 			return false, err
 		}
-		path := filepath.Join(cfg.baselineDir, spec.Baseline)
-
-		if cfg.update {
-			suite.Description = fmt.Sprintf(
-				"perfgate baseline for the %s suite (%s in %s): per-benchmark sample vectors over %d repetitions (first warm-up repetition discarded). Refresh with `make bench-gate-update` after an intentional performance change; gated by `make bench-gate` (DESIGN.md §8.5).",
-				spec.Name, spec.Pattern, spec.Pkg, runner.Count)
-			if err := suite.Save(path); err != nil {
-				return false, fmt.Errorf("suite %s: %w", spec.Name, err)
-			}
-			if !cfg.quiet {
-				fmt.Fprintf(os.Stderr, "perfgate: wrote %s (%d benchmarks)\n", path, len(suite.Benchmarks))
-			}
-			continue
-		}
-
-		base, err := perfgate.LoadBaseline(path)
-		if err != nil {
-			return false, err
-		}
-		g := perfgate.Compare(base, suite, perfgate.Options{Threshold: cfg.threshold})
+		g := perfgate.Compare(spec.Name, base, head, cfg.threshold)
 		renderGate(os.Stdout, g, cfg.format)
 		fmt.Println(g.Summary())
 		fmt.Println()
 		for _, c := range g.Regressions() {
-			failures = append(failures, fmt.Sprintf("%s: %s %s (ratio %.3f, p %.3f, tol %.2f)",
-				g.SuiteName, c.Bench, c.Unit, c.Ratio, c.P, c.Tolerance))
+			failures = append(failures, fmt.Sprintf("%s: %s %s (median pair ratio %.3f, %d/%d pairs beyond %.2f, p %.3f)",
+				g.SuiteName, c.Bench, c.Unit, c.Ratio, c.Beyond, c.Pairs, cfg.threshold, c.P))
 		}
 	}
 
@@ -119,6 +110,13 @@ func renderGate(w io.Writer, g *perfgate.GateResult, format string) {
 	default:
 		t.Render(w)
 	}
+}
+
+func orUnknown(s string) string {
+	if s == "" {
+		return "unknown"
+	}
+	return s
 }
 
 // createNoClobber creates path for writing. If the file already exists

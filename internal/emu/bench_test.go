@@ -7,7 +7,7 @@ package emu_test
 //   - BenchmarkEmuFastForward: ns/inst of the block-stepping fast path
 //     (Machine.Run in the default FFFast mode). `make bench-emu`
 //     re-measures, and `make bench-gate` judges these benchmarks against
-//     the live BENCH_emu.json perfgate baseline.
+//     the parent commit in alternating pairs (DESIGN.md §8.5).
 //   - BenchmarkEmuStepForward: the same workloads on the reference
 //     one-Step-per-instruction path, so the fast-path ratio is always one
 //     benchstat away.

@@ -10,11 +10,8 @@ import (
 )
 
 // Fingerprint records the environment a benchmark run was measured in.
-// It is stored in every baseline and every gate run so regression
-// reports can flag cross-machine comparisons: a baseline recorded on a
-// different CPU model is still *comparable* (the noisy-runner policy
-// widens tolerances), but the report says so instead of letting the
-// reader assume like-for-like hardware.
+// A gate run prints it once, above its tables; the end-to-end benchmark
+// (benchmark/) stamps it on every output line.
 type Fingerprint struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -43,16 +40,8 @@ func CurrentFingerprint(dir string) Fingerprint {
 	}
 }
 
-// SameHardware reports whether two fingerprints describe comparable
-// machines (same CPU model and core count). The gate only uses this to
-// annotate reports, never to refuse a comparison.
-func (f Fingerprint) SameHardware(other Fingerprint) bool {
-	return f.CPUModel == other.CPUModel && f.NumCPU == other.NumCPU
-}
-
 // cpuModel reads the CPU model name. On Linux it comes from
-// /proc/cpuinfo; elsewhere (or on failure) it is empty and the runner
-// falls back to the "cpu:" line go test prints.
+// /proc/cpuinfo; elsewhere (or on failure) it is empty.
 func cpuModel() string {
 	f, err := os.Open("/proc/cpuinfo")
 	if err != nil {

@@ -4,74 +4,22 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"fxa/internal/report"
 	"fxa/internal/stats"
 )
 
-// Options tune the gate's decision rule. Zero values select the
-// defaults; DESIGN.md §8.5 documents the policy behind each knob.
-type Options struct {
-	// Threshold is the practical-significance bar: a metric gates only
-	// when its worseness ratio (current/baseline median for lower-is-
-	// better metrics) exceeds it. Default 1.10 — a 10% regression.
-	Threshold float64
-
-	// Alpha is the statistical-significance level of the one-sided
-	// Mann-Whitney U test. Default 0.05.
-	Alpha float64
-
-	// NoisyRel is the relative dispersion (MAD/median) the gate
-	// tolerates before declaring the runner noisy. Default 0.05 (5%).
-	NoisyRel float64
-
-	// NoisyScale converts excess dispersion into threshold widening:
-	// tolerance = Threshold + NoisyScale*(dispersion - NoisyRel),
-	// capped at MaxWiden. A runner with 20% relative MAD at the
-	// defaults gets tolerance 1.10 + 2*(0.20-0.05) = 1.40 instead of a
-	// flaky gate. Default 2.
-	NoisyScale float64
-
-	// MaxWiden caps the total widening added to Threshold. Default 0.50.
-	MaxWiden float64
-
-	// HardwareWiden is added to the tolerance when the baseline was
-	// recorded on different hardware (CPU model or core count differ),
-	// on top of any noise widening. Default 0.15.
-	HardwareWiden float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Threshold == 0 {
-		o.Threshold = 1.10
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.05
-	}
-	if o.NoisyRel == 0 {
-		o.NoisyRel = 0.05
-	}
-	if o.NoisyScale == 0 {
-		o.NoisyScale = 2
-	}
-	if o.MaxWiden == 0 {
-		o.MaxWiden = 0.50
-	}
-	if o.HardwareWiden == 0 {
-		o.HardwareWiden = 0.15
-	}
-	return o
-}
+// alpha is the significance level of the one-sided sign test.
+const alpha = 0.05
 
 // Verdict classifies one (benchmark, metric) comparison.
 type Verdict int
 
 const (
-	VerdictOK         Verdict = iota // within tolerance, or shift not significant
-	VerdictRegression                // significant and above tolerance: gates
-	VerdictImproved                  // significant improvement beyond 1/Threshold
-	VerdictMissing                   // in the baseline, absent from this run: gates
-	VerdictNew                       // measured, but not in the baseline: informational
+	VerdictOK         Verdict = iota // no significant shift beyond the threshold
+	VerdictRegression                // significantly worse beyond the threshold: gates
+	VerdictImproved                  // significantly better beyond 1/threshold
 )
 
 func (v Verdict) String() string {
@@ -82,64 +30,61 @@ func (v Verdict) String() string {
 		return "REGRESSION"
 	case VerdictImproved:
 		return "improved"
-	case VerdictMissing:
-		return "MISSING"
-	case VerdictNew:
-		return "new"
 	default:
 		return fmt.Sprintf("Verdict(%d)", int(v))
 	}
 }
 
-// Comparison is the gate's judgment of one metric of one benchmark.
+// Comparison is the gate's judgment of one metric of one benchmark over
+// the pairs of a run.
 type Comparison struct {
 	Bench string
 	Unit  string
 
-	BaseMedian, BaseMAD float64
-	CurMedian, CurMAD   float64
+	BaseMedian, HeadMedian float64
 
-	// Ratio is the worseness ratio: >1 means the current run is worse
-	// (slower / more allocations for lower-is-better units, lower
-	// throughput for higher-is-better ones).
+	// Ratio is the median per-pair worseness ratio: >1 means the change
+	// is worse (slower / more allocations for lower-is-better units,
+	// lower throughput for higher-is-better ones).
 	Ratio float64
 
-	// P is the one-sided Mann-Whitney p-value for "current is worse".
-	P float64
+	// Pairs is the number of pairs compared. Beyond counts the pairs
+	// whose ratio lies beyond the threshold on Ratio's side of 1 (above
+	// the threshold when Ratio >= 1, below its reciprocal otherwise),
+	// and P is the one-sided sign-test p-value of that count.
+	Pairs, Beyond int
+	P             float64
 
-	// Tolerance is the effective threshold this comparison was judged
-	// against (base threshold plus any noise/hardware widening).
-	Tolerance float64
-
-	Noisy   bool // tolerance was widened for dispersion
 	Verdict Verdict
 }
 
-// GateResult is the outcome of comparing one suite against its baseline.
+// GateResult is the outcome of comparing one suite's two sides.
 type GateResult struct {
-	SuiteName     string
-	BaselineEnv   Fingerprint
-	CurrentEnv    Fingerprint
-	HardwareMatch bool
-	Comparisons   []Comparison
-	NewBenches    []string // benchmarks measured but absent from the baseline
+	SuiteName   string
+	Threshold   float64
+	Comparisons []Comparison
+
+	// OneSided lists the metrics measured on only one side, as
+	// "base|head: Bench unit": a benchmark added, deleted or renamed
+	// by the change. They do not gate.
+	OneSided []string
 }
 
 // higherBetter lists the units where larger is better; everything else
 // (ns/op, ns/inst, B/op, allocs/op, ...) is lower-is-better.
 func higherBetter(unit string) bool {
 	switch unit {
-	case "MB/s", "Minst/s", "det-Minst/s", "ff-Minst/s", "insts/s":
+	case "MB/s", "Minst/s", "det-Minst/s", "det-Minst/wall-s", "ff-Minst/s":
 		return true
 	}
 	return false
 }
 
-// absFloor returns the minimum absolute worsening (in the unit's own
+// absFloor returns the minimum median worsening (in the unit's own
 // scale) required to gate. Integer-like allocation metrics get a floor
-// so a 1→2 alloc jitter (ratio 2.0!) on an otherwise-clean benchmark
-// does not flake the gate, while 1→3 on the O(1)-snapshot contract
-// still fails.
+// so a 1→2 alloc change (ratio 2.0!) on an otherwise-clean benchmark
+// does not fail the gate, while 1→3 on the O(1)-snapshot contract
+// still does.
 func absFloor(unit string) float64 {
 	switch unit {
 	case "allocs/op":
@@ -150,234 +95,196 @@ func absFloor(unit string) float64 {
 	return 0
 }
 
-// Compare judges the current suite against its baseline. Every
-// (benchmark, metric) pair present in the baseline yields exactly one
-// Comparison; benchmarks only present in the current run are listed in
-// NewBenches (informational — refresh the baseline to start gating
-// them).
-func Compare(baseline, current *Suite, opt Options) *GateResult {
-	opt = opt.withDefaults()
-	g := &GateResult{
-		SuiteName:     baseline.SuiteName,
-		BaselineEnv:   baseline.Env,
-		CurrentEnv:    current.Env,
-		HardwareMatch: baseline.Env.SameHardware(current.Env),
-	}
-
-	for _, bench := range baseline.BenchNames() {
-		curByUnit := current.Benchmarks[bench]
-		for _, unit := range baseline.UnitsOf(bench) {
-			base := baseline.Benchmarks[bench][unit]
-			cur := curByUnit[unit]
-			g.Comparisons = append(g.Comparisons, compareMetric(bench, unit, base, cur, g.HardwareMatch, opt))
+// Compare judges the change's samples (head) against the parent's
+// (base), pair by pair: sample i of a metric on each side came from
+// pair i of the run. A metric regresses when a one-sided sign test
+// shows, at 95% confidence, that its median pair ratio exceeds
+// threshold (it counts the pairs whose ratio exceeds the threshold
+// itself, not 1) and its median worsening clears the unit's floor;
+// improvements use the mirror-image test against 1/threshold.
+func Compare(suite string, base, head Measurements, threshold float64) *GateResult {
+	g := &GateResult{SuiteName: suite, Threshold: threshold}
+	for _, bench := range benchNames(base, head) {
+		for _, unit := range unitsOf(base[bench], head[bench]) {
+			b, h := base[bench][unit], head[bench][unit]
+			switch {
+			case len(h) == 0:
+				g.OneSided = append(g.OneSided, "base: "+trimBench(bench)+" "+unit)
+			case len(b) == 0:
+				g.OneSided = append(g.OneSided, "head: "+trimBench(bench)+" "+unit)
+			default:
+				g.Comparisons = append(g.Comparisons, compareMetric(bench, unit, b, h, threshold))
+			}
 		}
 	}
-	for name := range current.Benchmarks {
-		if _, ok := baseline.Benchmarks[name]; !ok {
-			g.NewBenches = append(g.NewBenches, name)
-		}
-	}
-	sort.Strings(g.NewBenches)
 	return g
 }
 
-func compareMetric(bench, unit string, base, cur []float64, hwMatch bool, opt Options) Comparison {
+func compareMetric(bench, unit string, base, head []float64, threshold float64) Comparison {
+	n := min(len(base), len(head))
+	ratios := make([]float64, n)
+	worsening := make([]float64, n) // per pair, in the unit's scale
+	var above, below int
+	for i := range n {
+		worse, better := head[i], base[i]
+		if higherBetter(unit) {
+			worse, better = better, worse
+		}
+		worsening[i] = worse - better
+		switch {
+		case better > 0:
+			ratios[i] = worse / better
+		case worse > better:
+			ratios[i] = math.Inf(1)
+		default:
+			ratios[i] = 1
+		}
+		if ratios[i] > threshold {
+			above++
+		} else if ratios[i] < 1/threshold {
+			below++
+		}
+	}
 	c := Comparison{
 		Bench:      bench,
 		Unit:       unit,
 		BaseMedian: stats.Median(base),
-		BaseMAD:    stats.MAD(base),
-		Tolerance:  opt.Threshold,
-		P:          1,
-		Ratio:      1,
+		HeadMedian: stats.Median(head),
+		Ratio:      stats.Median(ratios),
+		Pairs:      n,
 	}
-	if len(cur) == 0 {
-		c.Verdict = VerdictMissing
-		return c
-	}
-	c.CurMedian = stats.Median(cur)
-	c.CurMAD = stats.MAD(cur)
-
-	// Worse/better orientation: map everything onto "ratio > 1 means
-	// worse" and a one-sided test of "current worse than baseline".
-	var worseDelta float64 // absolute worsening in the unit's scale
-	var pWorse, pBetter float64
-	if higherBetter(unit) {
-		worseDelta = c.BaseMedian - c.CurMedian
-		c.Ratio = worseRatio(c.BaseMedian, c.CurMedian, worseDelta, unit)
-		_, pWorse = stats.MannWhitneyU(cur, base)  // H1: baseline > current
-		_, pBetter = stats.MannWhitneyU(base, cur) // H1: current > baseline
+	pWorse, pBetter := stats.SignTestTail(above, n), stats.SignTestTail(below, n)
+	if c.Ratio >= 1 {
+		c.Beyond, c.P = above, pWorse
 	} else {
-		worseDelta = c.CurMedian - c.BaseMedian
-		c.Ratio = worseRatio(c.CurMedian, c.BaseMedian, worseDelta, unit)
-		_, pWorse = stats.MannWhitneyU(base, cur)
-		_, pBetter = stats.MannWhitneyU(cur, base)
+		c.Beyond, c.P = below, pBetter
 	}
-	c.P = pWorse
-
-	// Noisy-runner policy: widen the tolerance instead of flaking.
-	disp := math.Max(relDisp(c.BaseMAD, c.BaseMedian), relDisp(c.CurMAD, c.CurMedian))
-	widen := 0.0
-	if disp > opt.NoisyRel {
-		widen = opt.NoisyScale * (disp - opt.NoisyRel)
-		c.Noisy = true
-	}
-	if !hwMatch {
-		widen += opt.HardwareWiden
-	}
-	if widen > opt.MaxWiden {
-		widen = opt.MaxWiden
-	}
-	c.Tolerance = opt.Threshold + widen
-
+	medWorse := stats.Median(worsening)
 	switch {
-	case pWorse < opt.Alpha && c.Ratio > c.Tolerance && worseDelta > absFloor(unit):
+	case pWorse < alpha && medWorse > absFloor(unit):
 		c.Verdict = VerdictRegression
-	case pBetter < opt.Alpha && c.Ratio < 1/opt.Threshold:
+	case pBetter < alpha && -medWorse > absFloor(unit):
 		c.Verdict = VerdictImproved
-	default:
-		c.Verdict = VerdictOK
 	}
 	return c
 }
 
-// worseRatio computes worse/better as a ratio, guarding zero
-// denominators: a zero baseline that stays within the absolute floor is
-// ratio 1 (no change that matters), beyond the floor it is +Inf.
-func worseRatio(worse, better, delta float64, unit string) float64 {
-	if better > 0 {
-		return worse / better
+// benchNames returns the benchmarks measured on either side, sorted.
+func benchNames(base, head Measurements) []string {
+	var names []string
+	for name := range base {
+		names = append(names, name)
 	}
-	if delta > absFloor(unit) {
-		return math.Inf(1)
-	}
-	return 1
-}
-
-// relDisp is MAD/|median| with a zero-median guard.
-func relDisp(mad, median float64) float64 {
-	if median == 0 {
-		return 0
-	}
-	return math.Abs(mad / median)
-}
-
-// Failed reports whether the gate should exit non-zero: any regression
-// or any baseline benchmark missing from the run.
-func (g *GateResult) Failed() bool {
-	for _, c := range g.Comparisons {
-		if c.Verdict == VerdictRegression || c.Verdict == VerdictMissing {
-			return true
+	for name := range head {
+		if _, ok := base[name]; !ok {
+			names = append(names, name)
 		}
 	}
-	return false
+	sort.Strings(names)
+	return names
 }
 
-// Regressions returns the gating comparisons (regressions and missing
-// benchmarks), for error messages that name the guilty metrics.
+// unitsOf returns the units recorded for one benchmark on either side,
+// sorted with the primary timing metrics first (ns/inst, then ns/op) and
+// the rest alphabetical — the order the table prints them in.
+func unitsOf(sides ...map[string][]float64) []string {
+	seen := make(map[string]bool)
+	var units []string
+	for _, byUnit := range sides {
+		for u := range byUnit {
+			if !seen[u] {
+				seen[u] = true
+				units = append(units, u)
+			}
+		}
+	}
+	rank := func(u string) int {
+		switch u {
+		case "ns/inst":
+			return 0
+		case "ns/op":
+			return 1
+		default:
+			return 2
+		}
+	}
+	sort.Slice(units, func(i, j int) bool {
+		ri, rj := rank(units[i]), rank(units[j])
+		if ri != rj {
+			return ri < rj
+		}
+		return units[i] < units[j]
+	})
+	return units
+}
+
+// Regressions returns the gating comparisons, for error messages that
+// name the guilty metrics.
 func (g *GateResult) Regressions() []Comparison {
 	var out []Comparison
 	for _, c := range g.Comparisons {
-		if c.Verdict == VerdictRegression || c.Verdict == VerdictMissing {
+		if c.Verdict == VerdictRegression {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
+// Failed reports whether the gate should exit non-zero: any regression.
+func (g *GateResult) Failed() bool { return len(g.Regressions()) > 0 }
+
 // Summary renders the one-line outcome, e.g.
 //
-//	suite core: 18 metrics, 0 regressions, 2 improved, 3 noise-widened
+//	suite core: 48 metrics over 5 pairs, 0 regressions, 2 improved
 func (g *GateResult) Summary() string {
-	var reg, imp, noisy, missing int
+	var reg, imp, pairs int
 	for _, c := range g.Comparisons {
 		switch c.Verdict {
 		case VerdictRegression:
 			reg++
 		case VerdictImproved:
 			imp++
-		case VerdictMissing:
-			missing++
 		}
-		if c.Noisy {
-			noisy++
-		}
+		pairs = max(pairs, c.Pairs)
 	}
-	s := fmt.Sprintf("suite %s: %d metrics, %d regressions, %d improved, %d noise-widened",
-		g.SuiteName, len(g.Comparisons), reg, imp, noisy)
-	if missing > 0 {
-		s += fmt.Sprintf(", %d missing", missing)
+	s := fmt.Sprintf("suite %s: %d metrics over %d pairs, %d regressions, %d improved",
+		g.SuiteName, len(g.Comparisons), pairs, reg, imp)
+	if len(g.OneSided) > 0 {
+		s += fmt.Sprintf(", %d one-sided", len(g.OneSided))
 	}
 	return s
 }
 
-// Table renders the benchstat-style comparison as a report.Table with
-// the gate policy in the footer. Every baseline metric appears; the
+// Table renders the paired comparison as a report.Table with the gate
+// policy in the footer. Every metric measured on both sides appears; the
 // verdict column names the regressions the gate fails on.
 func (g *GateResult) Table() *report.Table {
 	t := &report.Table{
-		Title:   fmt.Sprintf("perfgate: suite %s (baseline commit %s)", g.SuiteName, orUnknown(g.BaselineEnv.Commit)),
-		Headers: []string{"benchmark", "metric", "baseline", "current", "ratio", "p", "tol", "verdict"},
+		Title:   "perfgate: suite " + g.SuiteName,
+		Headers: []string{"benchmark", "metric", "parent", "change", "ratio", "beyond", "p", "verdict"},
 	}
-	anyNoisy := false
 	for _, c := range g.Comparisons {
-		tol := fmt.Sprintf("%.2f", c.Tolerance)
-		if c.Noisy {
-			tol += "*"
-			anyNoisy = true
-		}
-		cur := medMAD(c.CurMedian, c.CurMAD)
-		ratio := fmt.Sprintf("%.3f", c.Ratio)
-		if c.Verdict == VerdictMissing {
-			cur, ratio = "-", "-"
-		}
 		t.AddRow(
 			trimBench(c.Bench),
 			c.Unit,
-			medMAD(c.BaseMedian, c.BaseMAD),
-			cur,
-			ratio,
+			fmt.Sprintf("%.4g", c.BaseMedian),
+			fmt.Sprintf("%.4g", c.HeadMedian),
+			fmt.Sprintf("%.3f", c.Ratio),
+			fmt.Sprintf("%d/%d", c.Beyond, c.Pairs),
 			fmt.Sprintf("%.3f", c.P),
-			tol,
 			c.Verdict.String(),
 		)
 	}
-	t.Footer = append(t.Footer,
-		"REGRESSION = one-sided Mann-Whitney p < 0.05 AND median worse beyond tolerance (see DESIGN.md §8.5)")
-	if anyNoisy {
-		t.Footer = append(t.Footer,
-			"* tolerance widened: run dispersion (MAD/median) above the noisy-runner grace — see DESIGN.md §8.5")
-	}
-	if !g.HardwareMatch {
-		t.Footer = append(t.Footer, fmt.Sprintf(
-			"baseline hardware differs (%s, %d CPUs vs %s, %d CPUs): tolerances widened",
-			orUnknown(g.BaselineEnv.CPUModel), g.BaselineEnv.NumCPU,
-			orUnknown(g.CurrentEnv.CPUModel), g.CurrentEnv.NumCPU))
-	}
-	if len(g.NewBenches) > 0 {
-		t.Footer = append(t.Footer, fmt.Sprintf(
-			"not in baseline (run -update-baseline to start gating): %v", g.NewBenches))
+	t.Footer = append(t.Footer, fmt.Sprintf(
+		"parent/change = medians; ratio = median pair ratio (>1 worse); beyond = pairs past %.2f (or 1/%.2f); REGRESSION = one-sided sign test p < %.2f and median worsening above the unit's floor (DESIGN.md §8.5)",
+		g.Threshold, g.Threshold, alpha))
+	if len(g.OneSided) > 0 {
+		t.Footer = append(t.Footer, "measured on one side only, not gated: "+strings.Join(g.OneSided, ", "))
 	}
 	return t
 }
 
 // trimBench drops the "Benchmark" prefix for narrower tables.
 func trimBench(name string) string {
-	const p = "Benchmark"
-	if len(name) > len(p) && name[:len(p)] == p {
-		return name[len(p):]
-	}
-	return name
-}
-
-// medMAD renders "median ±MAD" with compact precision.
-func medMAD(med, mad float64) string {
-	return fmt.Sprintf("%.4g ±%.2g", med, mad)
-}
-
-func orUnknown(s string) string {
-	if s == "" {
-		return "unknown"
-	}
-	return s
+	return strings.TrimPrefix(name, "Benchmark")
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // Measurements maps benchmark name → unit → sample vector (one sample
-// per -count repetition). Benchmark names are normalized: the trailing
-// "-<GOMAXPROCS>" suffix `go test` appends is stripped, so baselines
-// recorded on machines with different core counts still line up.
+// per pair on each side of a gate run). Benchmark names are normalized:
+// the trailing "-<GOMAXPROCS>" suffix `go test` appends is stripped.
 type Measurements map[string]map[string][]float64
 
 // add records one sample.
@@ -25,28 +24,19 @@ func (m Measurements) add(bench, unit string, v float64) {
 }
 
 // ParseBench reads standard `go test -bench` output and collects every
-// "value unit" measurement of every Benchmark result line. It also
-// returns the "cpu:" header go test prints (empty when absent). Non-
-// benchmark lines (PASS, ok, --- BENCH log output, b.Log lines) are
+// "value unit" measurement of every Benchmark result line. Non-benchmark
+// lines (headers, PASS, ok, --- BENCH log output, b.Log lines) are
 // ignored. A benchmark that go test reports as failed ("--- FAIL") makes
 // ParseBench return an error: a gate must never pass on a crashed
 // benchmark.
-func ParseBench(r io.Reader) (Measurements, string, error) {
+func ParseBench(r io.Reader) (Measurements, error) {
 	meas := make(Measurements)
-	var cpu string
 	var failed []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "cpu:"):
-			cpu = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			continue
-		case strings.HasPrefix(line, "--- FAIL"):
-			failed = append(failed, strings.TrimSpace(line))
-			continue
-		case strings.HasPrefix(line, "FAIL"):
+		if strings.HasPrefix(line, "--- FAIL") || strings.HasPrefix(line, "FAIL") {
 			failed = append(failed, strings.TrimSpace(line))
 			continue
 		}
@@ -66,18 +56,18 @@ func ParseBench(r io.Reader) (Measurements, string, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, cpu, fmt.Errorf("parse bench output: bad value %q in line %q", fields[i], line)
+				return nil, fmt.Errorf("parse bench output: bad value %q in line %q", fields[i], line)
 			}
 			meas.add(name, fields[i+1], v)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, cpu, fmt.Errorf("parse bench output: %w", err)
+		return nil, fmt.Errorf("parse bench output: %w", err)
 	}
 	if len(failed) > 0 {
-		return nil, cpu, fmt.Errorf("benchmark run failed: %s", strings.Join(failed, "; "))
+		return nil, fmt.Errorf("benchmark run failed: %s", strings.Join(failed, "; "))
 	}
-	return meas, cpu, nil
+	return meas, nil
 }
 
 // normalizeBenchName strips the "-<GOMAXPROCS>" suffix go test appends
@@ -93,25 +83,4 @@ func normalizeBenchName(name string) string {
 		return name
 	}
 	return name[:i]
-}
-
-// discardWarmup drops the first w samples of every metric in place.
-// go test -count=N reruns a benchmark N times in one process; the first
-// repetition pays module-load, code-page and allocator warm-up that the
-// later ones do not, so the runner measures N+w repetitions and gates on
-// the last N. Metrics with fewer than w+1 samples keep their last sample
-// (never drop a metric to zero samples).
-func discardWarmup(m Measurements, w int) {
-	if w <= 0 {
-		return
-	}
-	for _, byUnit := range m {
-		for unit, samples := range byUnit {
-			if len(samples) > w {
-				byUnit[unit] = samples[w:]
-			} else if len(samples) > 1 {
-				byUnit[unit] = samples[len(samples)-1:]
-			}
-		}
-	}
 }

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// benchOutput is a realistic `go test -bench -benchmem -count=3` capture
-// (two repetitions shown trimmed to keep the fixture readable): header
-// lines, result lines with custom ns/inst metrics, a b.Logf line, PASS
-// and ok trailers.
+// benchOutput is a realistic `go test -bench -benchmem -count=3` capture:
+// header lines, result lines with custom ns/inst metrics, a b.Logf
+// line, PASS and ok trailers.
 const benchOutput = `goos: linux
 goarch: amd64
 pkg: fxa/internal/core
@@ -26,12 +25,9 @@ ok  	fxa/internal/core	12.3s
 `
 
 func TestParseBench(t *testing.T) {
-	meas, cpu, err := ParseBench(strings.NewReader(benchOutput))
+	meas, err := ParseBench(strings.NewReader(benchOutput))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if want := "Intel(R) Xeon(R) CPU @ 2.10GHz"; cpu != want {
-		t.Errorf("cpu = %q, want %q", cpu, want)
 	}
 	if len(meas) != 2 {
 		t.Fatalf("parsed %d benchmarks, want 2: %v", len(meas), meas)
@@ -53,7 +49,7 @@ func TestParseBench(t *testing.T) {
 
 func TestParseBenchFailDetected(t *testing.T) {
 	out := "BenchmarkX-8 1 100 ns/op\n--- FAIL: BenchmarkX\nFAIL\nFAIL\tfxa/internal/core\t0.1s\n"
-	if _, _, err := ParseBench(strings.NewReader(out)); err == nil {
+	if _, err := ParseBench(strings.NewReader(out)); err == nil {
 		t.Fatal("ParseBench accepted a failed benchmark run")
 	}
 }
@@ -70,20 +66,5 @@ func TestNormalizeBenchName(t *testing.T) {
 		if got := normalizeBenchName(in); got != want {
 			t.Errorf("normalizeBenchName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestDiscardWarmup(t *testing.T) {
-	m := make(Measurements)
-	m.add("B", "ns/op", 100) // cold
-	m.add("B", "ns/op", 90)
-	m.add("B", "ns/op", 91)
-	m.add("B", "single", 42) // only one sample: must survive
-	discardWarmup(m, 1)
-	if got := m["B"]["ns/op"]; len(got) != 2 || got[0] != 90 {
-		t.Errorf("warm samples = %v, want [90 91]", got)
-	}
-	if got := m["B"]["single"]; len(got) != 1 || got[0] != 42 {
-		t.Errorf("single sample lost: %v", got)
 	}
 }

@@ -1,33 +1,29 @@
-// Package perfgate is the continuous-benchmarking subsystem: it runs the
-// repository's benchmark suites with repetitions, compares the measured
-// distributions against schema-versioned baselines checked into the repo
-// (BENCH_core.json, BENCH_emu.json, BENCH_sampling.json), and gates on
-// regressions that are both statistically significant (one-sided
-// Mann-Whitney U) and larger than a practical threshold. DESIGN.md §8.5
-// documents the policy; `make bench-gate` / `fxabench -perfgate` run it.
+// Package perfgate is the continuous-benchmarking subsystem: it builds
+// each benchmark suite's test binary from a base revision and from the
+// working tree, runs the two alternately on the same machine, and gates
+// on metrics whose per-pair ratios show, by a one-sided sign test, a
+// worsening beyond a practical threshold. DESIGN.md §8.5 documents the
+// policy; `make bench-gate` / `fxabench -perfgate` run it.
 //
-// The package splits into four layers:
+// The package splits into three layers:
 //
 //   - parse.go: turn `go test -bench` output into per-benchmark,
-//     per-unit sample vectors (warm-up repetitions discarded).
-//   - run.go: execute a suite as a `go test` subprocess with -count
-//     repetitions, teeing the raw output for CI artifacts.
-//   - baseline.go: the schema-versioned JSON baseline format, with
-//     stale-schema rejection and a refresh path.
-//   - gate.go: the statistical comparison and verdicts, rendered as a
+//     per-unit sample vectors.
+//   - run.go: export the base revision with `git archive`, build both
+//     test binaries, and run them in alternating pairs, one process per
+//     sample, teeing the raw output for CI artifacts.
+//   - gate.go: the paired comparison and verdicts, rendered as a
 //     regression table through internal/report.
 package perfgate
 
 import "fmt"
 
 // SuiteSpec names one benchmark suite the gate knows how to run: a Go
-// package, a benchmark regexp, and the baseline file it is judged
-// against.
+// package and a benchmark regexp.
 type SuiteSpec struct {
-	Name     string // short name used by -suite and in reports
-	Pkg      string // package path relative to the module root
-	Pattern  string // -bench regexp
-	Baseline string // baseline file name, relative to the baseline dir
+	Name    string // short name used by -suite and in reports
+	Pkg     string // package path relative to the module root
+	Pattern string // -bench regexp
 }
 
 // Suites lists the gated benchmark suites in run order. These cover the
@@ -35,24 +31,9 @@ type SuiteSpec struct {
 // hot loop (allocation discipline), the functional fast-forward path and
 // O(1) snapshots, and the end-to-end sampled-simulation pipeline.
 var Suites = []SuiteSpec{
-	{
-		Name:     "core",
-		Pkg:      "./internal/core",
-		Pattern:  "^BenchmarkCore",
-		Baseline: "BENCH_core.json",
-	},
-	{
-		Name:     "emu",
-		Pkg:      "./internal/emu",
-		Pattern:  "^(BenchmarkEmu|BenchmarkMemoryClone|BenchmarkMachineClone)",
-		Baseline: "BENCH_emu.json",
-	},
-	{
-		Name:     "sampling",
-		Pkg:      "./internal/sampling",
-		Pattern:  "^BenchmarkSamplingEndToEnd",
-		Baseline: "BENCH_sampling.json",
-	},
+	{Name: "core", Pkg: "./internal/core", Pattern: "^BenchmarkCore"},
+	{Name: "emu", Pkg: "./internal/emu", Pattern: "^(BenchmarkEmu|BenchmarkMemoryClone|BenchmarkMachineClone)"},
+	{Name: "sampling", Pkg: "./internal/sampling", Pattern: "^BenchmarkSamplingEndToEnd"},
 }
 
 // SuiteByName resolves a -suite argument.

@@ -1,8 +1,10 @@
 // Robust sample statistics for the performance-regression gate
-// (internal/perfgate). Benchmark timings on shared runners are heavy-
-// tailed — one page-cache miss or a noisy neighbour puts a far outlier
-// in a five-sample set — so the gate works on medians, median absolute
-// deviations and a rank test instead of means, variances and t-tests.
+// (internal/perfgate). The gate runs the parent's and the change's
+// benchmark binaries in alternating pairs and judges the per-pair
+// ratios. Timings on shared hosts are heavy-tailed — one page-cache miss
+// or a noisy neighbour puts a far outlier in a five-pair set — so it
+// works on medians and on a sign test, which counts pairs and ignores
+// how far each one lies, instead of means, variances and t-tests.
 package stats
 
 import (
@@ -30,9 +32,7 @@ func Median(xs []float64) float64 {
 // It is the robust analogue of the standard deviation (a single far
 // outlier in a five-sample set moves the MAD by at most one rank, where
 // it can move the standard deviation arbitrarily). The value is the raw
-// MAD, not the 1.4826-scaled normal-consistent estimator — the gate
-// uses it only as a relative dispersion (MAD/median), where the scale
-// cancels out of any fixed cutoff.
+// MAD, not the 1.4826-scaled normal-consistent estimator.
 func MAD(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -45,148 +45,26 @@ func MAD(xs []float64) float64 {
 	return Median(dev)
 }
 
-// MannWhitneyU performs a one-sided Mann-Whitney U test (also known as
-// the Wilcoxon rank-sum test) of H1: "samples in y are stochastically
-// greater than samples in x", against H0: both came from the same
-// distribution. It returns the U statistic for y and the one-sided
-// p-value P(U >= u | H0).
-//
-// For tie-free samples with len(x)+len(y) <= exactLimit the p-value is
-// exact, from the full null distribution of U (dynamic programming over
-// rank arrangements) — important because the gate runs on five
-// repetitions a side, where the normal approximation is optimistic in
-// the tail. With ties, or for larger samples, it falls back to the
-// normal approximation with tie correction and continuity correction.
-//
-// Degenerate inputs (either sample empty, or every value in both
-// samples identical) return p = 1: no evidence of a shift.
-func MannWhitneyU(x, y []float64) (u float64, p float64) {
-	nx, ny := len(x), len(y)
-	if nx == 0 || ny == 0 {
-		return 0, 1
-	}
-
-	// Rank the pooled samples, averaging ranks across ties.
-	type obs struct {
-		v     float64
-		fromY bool
-	}
-	pool := make([]obs, 0, nx+ny)
-	for _, v := range x {
-		pool = append(pool, obs{v, false})
-	}
-	for _, v := range y {
-		pool = append(pool, obs{v, true})
-	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i].v < pool[j].v })
-
-	n := nx + ny
-	ranks := make([]float64, n)
-	ties := false
-	var tieCorr float64 // sum over tie groups of t^3 - t
-	for i := 0; i < n; {
-		j := i
-		for j < n && pool[j].v == pool[i].v {
-			j++
-		}
-		t := j - i
-		if t > 1 {
-			ties = true
-			tieCorr += float64(t*t*t - t)
-		}
-		// Average rank of positions i..j-1 (1-based ranks).
-		avg := (float64(i+1) + float64(j)) / 2
-		for k := i; k < j; k++ {
-			ranks[k] = avg
-		}
-		i = j
-	}
-
-	var ry float64 // rank sum of y
-	for i, o := range pool {
-		if o.fromY {
-			ry += ranks[i]
-		}
-	}
-	u = ry - float64(ny*(ny+1))/2
-
-	if !ties && n <= exactLimit {
-		return u, exactUTailP(nx, ny, u)
-	}
-
-	// Normal approximation with tie and continuity corrections.
-	mean := float64(nx*ny) / 2
-	nn := float64(n)
-	variance := float64(nx*ny) / 12 * ((nn + 1) - tieCorr/(nn*(nn-1)))
-	if variance <= 0 {
-		// Every pooled value identical: no ordering information.
-		return u, 1
-	}
-	z := (u - mean - 0.5) / math.Sqrt(variance)
-	return u, 1 - normCDF(z)
-}
-
-// exactLimit bounds the pooled sample size for which the exact null
-// distribution of U is computed. 30 keeps the DP table tiny (at most
-// 15×15×226 entries) while covering every repetition count the gate
-// realistically runs.
-const exactLimit = 30
-
-// exactUTailP returns P(U >= u) under H0 for tie-free samples of sizes
-// nx and ny, from the full null distribution of U. c[m][n][k] counts the
-// orderings of m x-observations and n y-observations whose U statistic
-// equals k; conditioning on whether the largest pooled observation came
-// from y (it then exceeds all m xs, contributing m pairs) or from x
-// (contributing none) gives
-//
-//	c(m, n, k) = c(m, n-1, k-m) + c(m-1, n, k)
-//
-// with c(m, 0, 0) = c(0, n, 0) = 1. The distribution is normalized by
-// binomial(nx+ny, ny), the total number of orderings.
-func exactUTailP(nx, ny int, u float64) float64 {
-	maxU := nx * ny
-	// cnt[n][k] for the current m, rolled over m.
-	cnt := make([][]float64, ny+1)
-	for n := 0; n <= ny; n++ {
-		cnt[n] = make([]float64, maxU+1)
-	}
-	// m = 0: every y outranks no x, so U = 0 whatever n is.
-	for n := 0; n <= ny; n++ {
-		cnt[n][0] = 1
-	}
-	for m := 1; m <= nx; m++ {
-		// Update rows in ascending n. After processing row n-1 it holds
-		// c(m, n-1, ·) — exactly the first term's row — while cnt[n]
-		// still holds c(m-1, n, ·), the second term; snapshot it before
-		// overwriting. Row 0 (c(m, 0, ·) = {1, 0, ...}) never changes.
-		for n := 1; n <= ny; n++ {
-			oldRow := append([]float64(nil), cnt[n]...) // c(m-1, n, ·)
-			for k := 0; k <= maxU; k++ {
-				v := oldRow[k]
-				if k >= m {
-					v += cnt[n-1][k-m]
-				}
-				cnt[n][k] = v
-			}
-		}
-	}
-	total := 0.0
-	tail := 0.0
-	ku := int(math.Ceil(u - 1e-9))
-	for k := 0; k <= maxU; k++ {
-		c := cnt[ny][k]
-		total += c
-		if k >= ku {
-			tail += c
-		}
-	}
-	if total == 0 {
+// SignTestTail returns the one-sided p-value of a sign test: the
+// probability that k or more of n pairs fall on one side of the tested
+// value when, under H0, each pair is equally likely to fall on either
+// side, i.e. P(X >= k) for X ~ Binomial(n, 1/2). It is exact (the
+// binomial coefficients are integers below 2^53) for n up to 50; k <= 0
+// gives 1 and k > n gives 0.
+func SignTestTail(k, n int) float64 {
+	if k <= 0 {
 		return 1
 	}
-	return tail / total
-}
-
-// normCDF is the standard normal cumulative distribution function.
-func normCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
+	if k > n {
+		return 0
+	}
+	var tail float64
+	c := 1.0 // C(n, j), starting at j = 0
+	for j := 0; j <= n; j++ {
+		if j >= k {
+			tail += c
+		}
+		c = c * float64(n-j) / float64(j+1)
+	}
+	return math.Ldexp(tail, -n)
 }

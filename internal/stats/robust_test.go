@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -45,144 +44,31 @@ func TestMAD(t *testing.T) {
 	}
 }
 
-func TestMannWhitneyUDegenerate(t *testing.T) {
-	if _, p := MannWhitneyU(nil, []float64{1, 2}); p != 1 {
-		t.Errorf("empty x: p = %v, want 1", p)
+// TestSignTestTail pins the sign-test tail against exact binomial
+// values: the counts the perfgate needs at its default and nightly pair
+// counts, and the degenerate ends.
+func TestSignTestTail(t *testing.T) {
+	cases := []struct {
+		k, n int
+		want float64
+	}{
+		{5, 5, 1.0 / 32},     // every pair of five: the default gate's only firing count
+		{4, 5, 6.0 / 32},     // C(5,4)+C(5,5)
+		{9, 10, 11.0 / 1024}, // C(10,9)+C(10,10): fires at ten pairs
+		{8, 10, 56.0 / 1024}, // 45+10+1: just misses 0.05
+		{10, 10, 1.0 / 1024},
+		{0, 5, 1},
+		{0, 10, 1},
+		{6, 5, 0},
+		{25, 50, 0.5 + 0.5*126410606437752.0/1125899906842624.0}, // P(X>=25) = (1+P(X=25))/2
 	}
-	if _, p := MannWhitneyU([]float64{1, 2}, nil); p != 1 {
-		t.Errorf("empty y: p = %v, want 1", p)
-	}
-	// All pooled values identical: no ordering information.
-	if _, p := MannWhitneyU([]float64{5, 5, 5}, []float64{5, 5, 5}); p != 1 {
-		t.Errorf("all ties: p = %v, want 1", p)
-	}
-}
-
-func TestMannWhitneyUExtremeSeparation(t *testing.T) {
-	// Every y above every x, 5 vs 5 samples, tie-free: U = 25 and the
-	// exact one-sided p is 1/C(10,5) = 1/252.
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{10, 11, 12, 13, 14}
-	u, p := MannWhitneyU(x, y)
-	if u != 25 {
-		t.Errorf("U = %v, want 25", u)
-	}
-	if want := 1.0 / 252; math.Abs(p-want) > 1e-12 {
-		t.Errorf("p = %v, want %v", p, want)
-	}
-	// The reversed direction carries no evidence for "y greater".
-	if _, p := MannWhitneyU(y, x); p < 0.99 {
-		t.Errorf("reversed: p = %v, want ~1", p)
-	}
-}
-
-func TestMannWhitneyUIdenticalDistribution(t *testing.T) {
-	// Interleaved samples from the same distribution: p should be large.
-	x := []float64{1, 3, 5, 7, 9}
-	y := []float64{2, 4, 6, 8, 10}
-	_, p := MannWhitneyU(x, y)
-	if p < 0.2 {
-		t.Errorf("interleaved same-distribution samples: p = %v, want >= 0.2", p)
-	}
-}
-
-// TestMannWhitneyUExactMatchesTable pins a handful of published exact
-// tail probabilities of the null distribution of U (tie-free).
-func TestMannWhitneyUExactMatchesTable(t *testing.T) {
-	// n1 = n2 = 3, U for y = 9 (complete separation): p = 1/C(6,3) = 1/20.
-	_, p := MannWhitneyU([]float64{1, 2, 3}, []float64{4, 5, 6})
-	if want := 0.05; math.Abs(p-want) > 1e-12 {
-		t.Errorf("3v3 complete separation: p = %v, want %v", p, want)
-	}
-	// n1 = n2 = 4, y = {5,6,7,8} minus a swap: x {1,2,3,5}, y {4,6,7,8}.
-	// U(y) = pairs y>x = 4+3+4+4 = 15. P(U>=15) = (#{16} + #{15})/C(8,4)
-	// = (1 + 1)/70 ... count via symmetry: f(16)=1, f(15)=1, so 2/70.
-	_, p = MannWhitneyU([]float64{1, 2, 3, 5}, []float64{4, 6, 7, 8})
-	if want := 2.0 / 70; math.Abs(p-want) > 1e-12 {
-		t.Errorf("4v4 near-separation: p = %v, want %v", p, want)
-	}
-}
-
-// TestMannWhitneyUExactVsApprox checks that the exact DP and the normal
-// approximation agree to a few percent in the moderate tail, where the
-// approximation is decent — a sanity check that the two code paths
-// implement the same test.
-func TestMannWhitneyUExactVsApprox(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, 12)
-	y := make([]float64, 12)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		y[i] = rng.NormFloat64() + 0.8
-	}
-	u, pExact := MannWhitneyU(x, y) // 24 pooled <= exactLimit: exact path
-
-	// Recompute via the approximation formula by inflating the sample
-	// past exactLimit with a duplicated... simpler: call the internal
-	// normal formula directly.
-	nx, ny := len(x), len(y)
-	mean := float64(nx*ny) / 2
-	nn := float64(nx + ny)
-	variance := float64(nx*ny) / 12 * (nn + 1)
-	z := (u - mean - 0.5) / math.Sqrt(variance)
-	pApprox := 1 - normCDF(z)
-
-	if pExact <= 0 || pExact >= 1 {
-		t.Fatalf("exact p out of range: %v", pExact)
-	}
-	if math.Abs(pExact-pApprox) > 0.02 {
-		t.Errorf("exact %v vs approx %v differ by more than 0.02", pExact, pApprox)
-	}
-}
-
-// TestMannWhitneyUFalsePositiveRate samples many same-distribution pairs
-// and checks the rejection rate at alpha = 0.05 is near (and, for the
-// conservative exact test at small n, at or below) alpha.
-func TestMannWhitneyUFalsePositiveRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const trials = 2000
-	rejects := 0
-	for i := 0; i < trials; i++ {
-		x := make([]float64, 5)
-		y := make([]float64, 5)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-			y[j] = rng.NormFloat64()
-		}
-		if _, p := MannWhitneyU(x, y); p < 0.05 {
-			rejects++
+	for _, c := range cases {
+		if got := SignTestTail(c.k, c.n); math.Abs(got-c.want) > 1e-15 {
+			t.Errorf("SignTestTail(%d, %d) = %v, want %v", c.k, c.n, got, c.want)
 		}
 	}
-	rate := float64(rejects) / trials
-	if rate > 0.07 {
-		t.Errorf("false-positive rate %v at alpha 0.05, want <= 0.07", rate)
-	}
-}
-
-// TestMannWhitneyUPower: a genuine 2x shift at 5v5 with small noise must
-// be detected at alpha = 0.05.
-func TestMannWhitneyUPower(t *testing.T) {
-	x := []float64{100, 102, 98, 101, 99}
-	y := []float64{200, 204, 196, 202, 198}
-	_, p := MannWhitneyU(x, y)
-	if p >= 0.05 {
-		t.Errorf("2x shift: p = %v, want < 0.05", p)
-	}
-}
-
-// TestMannWhitneyUTies exercises the tie-corrected approximation path:
-// heavily tied integer-like samples (allocs/op style) where y is shifted.
-func TestMannWhitneyUTies(t *testing.T) {
-	x := []float64{160, 160, 160, 161, 160}
-	y := []float64{320, 320, 321, 320, 320}
-	_, p := MannWhitneyU(x, y)
-	if p >= 0.05 {
-		t.Errorf("tied 2x shift: p = %v, want < 0.05", p)
-	}
-	// Identical tied samples: no evidence.
-	x = []float64{160, 160, 160, 160, 160}
-	y = []float64{160, 160, 160, 160, 160}
-	if _, p := MannWhitneyU(x, y); p < 0.5 {
-		t.Errorf("identical tied samples: p = %v, want >= 0.5", p)
+	// The gate's decision points at alpha 0.05.
+	if SignTestTail(5, 5) >= 0.05 || SignTestTail(9, 10) >= 0.05 || SignTestTail(8, 10) < 0.05 || SignTestTail(4, 5) < 0.05 {
+		t.Error("sign-test tail puts the 0.05 cut in the wrong place for 5 or 10 pairs")
 	}
 }

@@ -99,16 +99,19 @@ type BenchMetric struct {
 // BenchMetrics returns the sweep's throughput and allocation metrics in
 // a fixed, deterministic order, for benchmarks that report a whole run
 // through testing.B.ReportMetric (internal/sampling's end-to-end bench).
-// The units deliberately match the perfgate direction table: "Minst/s"
-// and "ff-Minst/s" are higher-is-better throughputs, "allocs/Kinst" is
-// a lower-is-better allocation-discipline signal. Metrics whose inputs
-// were not measured (no fast-forward, no allocation accounting) are
-// omitted rather than reported as zero, so a baseline never records a
-// meaningless 0 to gate against.
+// Each unit names what it counts, and the perfgate's direction table
+// knows them: "det-Minst/wall-s" is detailed (committed) instructions
+// per second of the run's wall time, "det-Minst/s" the same instructions
+// per second of detailed-simulation time, and "ff-Minst/s" fast-forwarded
+// instructions per second of fast-forward time — all higher-is-better —
+// while "allocs/Kinst" is a lower-is-better allocation-discipline signal.
+// Metrics whose inputs were not measured (no fast-forward, no allocation
+// accounting) are omitted rather than reported as zero, so the gate
+// never compares a meaningless 0.
 func (s Stats) BenchMetrics() []BenchMetric {
 	var m []BenchMetric
 	if s.SimInsts > 0 && s.Wall > 0 {
-		m = append(m, BenchMetric{s.InstsPerSec() / 1e6, "Minst/s"})
+		m = append(m, BenchMetric{s.InstsPerSec() / 1e6, "det-Minst/wall-s"})
 	}
 	if s.SimInsts > 0 && s.DetailedTime > 0 {
 		m = append(m, BenchMetric{s.DetailedInstsPerSec() / 1e6, "det-Minst/s"})

@@ -20,15 +20,15 @@ func TestBenchMetrics(t *testing.T) {
 	}
 	got := s.BenchMetrics()
 	want := map[string]float64{
-		"Minst/s":      2,
-		"allocs/Kinst": 2,
-		"ff-Minst/s":   20,
+		"det-Minst/wall-s": 2,
+		"allocs/Kinst":     2,
+		"ff-Minst/s":       20,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("BenchMetrics = %v, want %d metrics", got, len(want))
 	}
-	// Order is deterministic: Minst/s, allocs/Kinst, ff-Minst/s.
-	order := []string{"Minst/s", "allocs/Kinst", "ff-Minst/s"}
+	// Order is deterministic: det-Minst/wall-s, allocs/Kinst, ff-Minst/s.
+	order := []string{"det-Minst/wall-s", "allocs/Kinst", "ff-Minst/s"}
 	for i, m := range got {
 		if m.Unit != order[i] {
 			t.Errorf("metric %d = %q, want %q", i, m.Unit, order[i])
